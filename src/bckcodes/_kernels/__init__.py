@@ -1,24 +1,9 @@
-"""Kernel backend selection.
+"""The table search and the axiom scan.
 
-The compiled Cython module is preferred when it was built; otherwise the
-pure Python implementation takes over transparently.  Setting the
-environment variable ``BCKCODES_PURE`` to any non-empty value forces the
-pure backend, which is handy for benchmarking and differential testing.
+The kernels live in the submodule `pure`; this package re-exports them
+so that callers, and call tracing, go through `bckcodes._kernels`.
 """
 
-import os
+from .pure import BACKEND_NAME, axiom_witnesses, bck_candidates, table_is_bck
 
-from . import pure
-
-if os.environ.get("BCKCODES_PURE"):
-    _impl = pure
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = pure
-
-BACKEND_NAME: str = _impl.BACKEND_NAME
-axiom_witnesses = _impl.axiom_witnesses
-table_is_bck = _impl.table_is_bck
-bck_candidates = _impl.bck_candidates
+__all__ = ["BACKEND_NAME", "axiom_witnesses", "bck_candidates", "table_is_bck"]

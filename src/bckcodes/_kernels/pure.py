@@ -1,9 +1,10 @@
 """Pure Python kernels.
 
-Same contract as the compiled module `_fast`: `axiom_witnesses` scans a
-flattened Cayley table for the first violation of each of the five BCK
-axioms, and `bck_candidates` enumerates every Cayley table of a given
-order that satisfies all five axioms, in a fixed depth-first order.
+`axiom_witnesses` scans a flattened Cayley table for the first
+violation of each of the five BCK axioms, `table_is_bck` answers the
+same question with a yes or no, and `bck_candidates` enumerates every
+Cayley table of a given order that satisfies all five axioms, in a
+fixed depth-first order.
 
 The axiom-1 scan is cubic in the order, so for larger tables it switches
 to a vectorised numpy walk; witnesses stay lexicographically first in

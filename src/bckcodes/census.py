@@ -3,8 +3,8 @@
 Orders up to 5 enumerate in well under a minute; order 6 is allowed
 behind a flag since the search space is substantially larger.  The
 enumeration order is fixed (free table cells row-major, cell values
-ascending), so runs are reproducible and the two kernel backends can be
-compared table for table.
+ascending), so runs are reproducible and two runs can be compared
+table for table.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .census import census
 from .codes import enumerate_triangular_codes
 from .construct import construct_from_code, verify_roundtrip
 from .encode import BckFunction, generate_code
-from .errors import InputError, InternalInvariantError, ParseError
+from .errors import InputError, InternalInvariantError
 from .lift import family_algebra, lift_code
 
 _AXIOM_TEXT = {
@@ -36,12 +36,12 @@ _AXIOM_TEXT = {
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -355,9 +355,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

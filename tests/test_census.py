@@ -1,18 +1,20 @@
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
 import bckcodes as bc
-from bckcodes import _kernels
+from test_algebra import brute_axiom_holds
 
 # census re-enumerates on every call; cache so the two parametrized
 # sweeps below share one order-5 run
 _census = lru_cache(maxsize=None)(bc.census)
 
 # Total table counts and isomorphism-class counts for orders 1..5,
-# cross-checked against a pruning-free brute force below (n <= 3) and
-# against each other through the partition-validity test.
+# cross-checked against a pruning-free brute force below (n <= 4),
+# against each other through the partition-validity test, and class by
+# class through the orbit-counting identity.
 EXPECTED_TOTALS = {1: 1, 2: 1, 3: 5, 4: 67, 5: 1735}
 EXPECTED_ISO = {1: 1, 2: 1, 3: 3, 4: 14, 5: 88}
 EXPECTED_SIMILARITY = {1: 1, 2: 1, 3: 3, 4: 19, 5: 219}
@@ -20,15 +22,32 @@ EXPECTED_LABEL_CANONICAL = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16}
 
 
 def _brute_force_tables(n):
-    """Every order-n table passing the axiom check, no pruning at all."""
+    """Every order-n table satisfying the axioms as stated, no search.
+
+    Up to n = 3 every cell is free.  At n = 4 row 0, column 0 and the
+    diagonal are pinned first, which leaves 4^6 fillings instead of
+    4^16: 0*y = 0 and x*x = 0 are axioms 5 and 3, and x*0 = x is a BCK
+    theorem.
+    """
+    pinned = n >= 4
+    free = [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if not (pinned and (x == 0 or y == 0 or x == y))
+    ]
     found = []
-    for cells in product(range(n), repeat=n * n):
-        if _kernels.table_is_bck(cells, n):
-            found.append(tuple(tuple(cells[i * n : i * n + n]) for i in range(n)))
+    for values in product(range(n), repeat=len(free)):
+        rows = [[x if pinned and y == 0 else 0 for y in range(n)] for x in range(n)]
+        for (x, y), v in zip(free, values):
+            rows[x][y] = v
+        table = tuple(map(tuple, rows))
+        if all(brute_axiom_holds(table, axiom) for axiom in (5, 3, 4, 2, 1)):
+            found.append(table)
     return found
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_matches_unpruned_brute_force(n):
     pruned = {a.table for a in bc.enumerate_bck_algebras(n)}
     brute = set(_brute_force_tables(n))
@@ -64,6 +83,27 @@ def test_census_counting_chains(n):
     assert report.iso_classes >= report.bound
     assert sum(entry.size for entry in report.class_inventory) == report.total_tables
     assert len(report.class_inventory) == report.iso_classes
+
+
+def _automorphism_count(alg):
+    """|Aut(alg)|, counted over every relabeling that fixes 0."""
+    n = alg.order
+    t = alg.table
+    count = 0
+    for tail in permutations(range(1, n)):
+        h = (0,) + tail
+        if all(h[t[x][y]] == t[h[x]][h[y]] for x in range(n) for y in range(n)):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", sorted(EXPECTED_TOTALS))
+def test_class_sizes_match_orbit_counting(n):
+    # The relabelings fixing 0 act on the labeled tables; each class is
+    # one orbit, so its size is (n-1)! / |Aut| of its representative.
+    labelings = factorial(n - 1)
+    for entry in _census(n).class_inventory:
+        assert entry.size * _automorphism_count(entry.representative) == labelings
 
 
 def test_iso_partition_is_valid_at_order_3():

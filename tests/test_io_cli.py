@@ -180,8 +180,25 @@ def test_cli_verify_parse_error_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_missing_file_exits_2(tmp_path, capsys):
-    assert main(["verify", str(tmp_path / "nope.txt")]) == 2
+@pytest.mark.parametrize(
+    "case", ["missing", "undecodable", "undecodable-function", "undecodable-stdin"]
+)
+def test_cli_missing_file_exits_2(tmp_path, monkeypatch, capsys, case):
+    # input that cannot be read as UTF-8 text is malformed input, not a
+    # failed property and not a traceback
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    alg = _write(tmp_path, "alg.txt", ALG4_TEXT)
+    monkeypatch.setattr(
+        "sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    )
+    argv = {
+        "missing": ["verify", str(tmp_path / "nope.txt")],
+        "undecodable": ["verify", str(bad)],
+        "undecodable-function": ["encode", alg, "--function", str(bad)],
+        "undecodable-stdin": ["verify", "-"],
+    }[case]
+    assert main(argv) == 2
     assert "cannot read" in capsys.readouterr().err
 
 

@@ -1,22 +1,8 @@
-"""Differential tests pinning the two kernel backends to each other."""
+"""Tests of the kernels: the axiom scan's two paths and the search stream."""
 
-import os
 import random
-import subprocess
-import sys
-
-import pytest
 
 from bckcodes._kernels import pure
-
-try:
-    from bckcodes._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(
-    _fast is None, reason="compiled backend not built"
-)
 
 
 def _random_table(rng, n):
@@ -37,41 +23,6 @@ def _random_near_valid_table(rng, n):
         t[x * n] = x
         t[x * n + x] = 0
     return t
-
-
-@needs_compiled
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_enumerations_agree_table_for_table(n):
-    assert list(_fast.bck_candidates(n)) == list(pure.bck_candidates(n))
-
-
-@needs_compiled
-def test_axiom_witnesses_agree_on_random_tables():
-    rng = random.Random(99)
-    for n in [1, 2, 3, 5, 8, 33]:
-        for _ in range(40):
-            t = _random_table(rng, n)
-            assert _fast.axiom_witnesses(t, n) == pure.axiom_witnesses(t, n)
-            t = _random_near_valid_table(rng, n)
-            assert _fast.axiom_witnesses(t, n) == pure.axiom_witnesses(t, n)
-
-
-@needs_compiled
-def test_table_checks_agree_on_random_tables():
-    rng = random.Random(7)
-    for n in [2, 3, 4]:
-        for _ in range(300):
-            t = _random_near_valid_table(rng, n)
-            assert _fast.table_is_bck(t, n) == pure.table_is_bck(t, n)
-
-
-@needs_compiled
-def test_enumerated_tables_pass_both_backends():
-    for n in [3, 4]:
-        for rows in pure.bck_candidates(n):
-            flat = [v for row in rows for v in row]
-            assert pure.table_is_bck(flat, n)
-            assert _fast.table_is_bck(flat, n)
 
 
 def test_axiom1_numpy_walk_matches_plain_loops():
@@ -109,15 +60,3 @@ def test_first_tables_stream_before_the_sweep_finishes():
     first = next(gen)
     assert first[0] == (0, 0, 0, 0, 0)
     gen.close()
-
-
-def test_env_var_forces_pure_backend():
-    env = dict(os.environ, BCKCODES_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import bckcodes; print(bckcodes.BACKEND_NAME)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
