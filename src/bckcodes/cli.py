@@ -38,7 +38,7 @@ _AXIOM_TEXT = {
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -245,11 +245,11 @@ def cmd_enumerate(args) -> int:
         return 0
 
     if args.algebras:
-        allow_large = (args.max_order or 0) >= n > 5
+        allow_large = n == 6 and (args.max_order or 0) >= n
         if n == 6 and not allow_large:
             raise InputError("order 6 needs --max-order 6 and can take a while")
         if allow_large:
-            sys.stderr.write("warning: order 6 enumeration may take a while\n")
+            sys.stderr.write(f"warning: order {n} enumeration may take a while\n")
         report = census(n, allow_large=allow_large)
         if args.json:
             payload = {

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .algebra import CayleyAlgebra, Poset
 from .codes import BlockCode, Codeword, is_triangular_code, lex_sort_desc, word_leq
-from .encode import BckFunction, canonical_code
+from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
 
 
@@ -103,7 +103,7 @@ def verify_roundtrip(code: BlockCode) -> RoundTripReport:
     n = len(words)
     table = result.algebra.table
 
-    regenerated = canonical_code(result.algebra)
+    regenerated = _code(table, range(n))
     exact = regenerated == result.code
 
     mismatches = []

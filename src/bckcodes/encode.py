@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CayleyAlgebra, check_axioms
-from .codes import BlockCode, Codeword, lex_sort_desc
+from .codes import BlockCode, Codeword
 from .errors import InputError, NotBckError
 
 
@@ -84,6 +84,12 @@ def equivalence_classes(f: BckFunction) -> EquivalenceClasses:
     )
 
 
+def _code(table, values) -> BlockCode:
+    """Distinct words (r * v == 0 for v in values), lex-descending; table must be BCK."""
+    words = {tuple(int(row[v] == 0) for v in values) for row in table}
+    return BlockCode(tuple(Codeword(w) for w in sorted(words, reverse=True)))
+
+
 def generate_code(f: BckFunction) -> BlockCode:
     """The block code of f, one codeword per cut-equivalence class.
 
@@ -93,13 +99,7 @@ def generate_code(f: BckFunction) -> BlockCode:
     """
     if not check_axioms(f.algebra).is_bck:
         raise NotBckError("generate_code requires a BCK-algebra")
-    t = f.algebra.table
-    classes = equivalence_classes(f)
-    words = []
-    for members in classes.classes:
-        r = members[0]
-        words.append(Codeword(tuple(int(t[r][v] == 0) for v in f.values)))
-    return lex_sort_desc(BlockCode(tuple(words)))
+    return _code(f.algebra.table, f.values)
 
 
 def canonical_code(alg: CayleyAlgebra) -> BlockCode:

@@ -21,7 +21,7 @@ from .codes import (
     staircase_code,
 )
 from .construct import algebra_from_poset, construct_from_code
-from .encode import BckFunction, canonical_code, generate_code
+from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
 
 
@@ -85,7 +85,7 @@ def lift_code(v: BlockCode) -> LiftResult:
     names = result.algebra.names
     domain = tuple(names[e] for e in column_map)
     function = BckFunction(domain, result.algebra, column_map)
-    lifted = generate_code(function)
+    lifted = _code(result.algebra.table, column_map)
 
     missing = set(sorted_v.words) - set(lifted.words)
     if missing:
@@ -140,4 +140,4 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
     if poset.minimum != 0:
         raise InternalInvariantError("staircase code is not the order minimum")
     algebra = algebra_from_poset(poset)
-    return algebra, canonical_code(algebra)
+    return algebra, _code(algebra.table, range(size))

@@ -130,6 +130,8 @@ def test_criterion_07_exact_roundtrip_is_self_description():
         for code in bc.enumerate_triangular_codes(n):
             trip = bc.verify_roundtrip(code)
             assert trip.exact == trip.self_describing
+            rebuilt = bc.construct_from_code(code).algebra
+            assert trip.regenerated == bc.canonical_code(rebuilt)
 
     bad = bc.verify_roundtrip(bc.BlockCode.from_strings(rd.ROUNDTRIP_COUNTEREXAMPLE))
     assert not bad.exact and not bad.self_describing
@@ -160,6 +162,7 @@ def test_criterion_08_randomized_lifts_contain_their_source():
         assert all(v == 1 for v in result.ambient.entries[0])
         assert bc.is_triangular_code(result.ambient.to_code()).ok
         assert set(result.source_code.words) <= set(result.lifted_code.words)
+        assert result.lifted_code == bc.generate_code(result.function)
     _finish(8, started, 60.0, "200 seeded random codes embed with all predicates")
 
 
@@ -190,6 +193,9 @@ def test_criterion_10_family_algebras_and_the_staircase_minimum():
     assert bc.check_axioms(alg4).is_bck
     assert bc.canonical_code(alg4) == code4
     assert len(code4) == 8 and code4.length == 8
+
+    alg5, code5 = bc.family_algebra(5)
+    assert bc.canonical_code(alg5) == code5
 
     for n in range(1, 6):
         bottom = bc.staircase_code(n)

@@ -149,6 +149,25 @@ def test_exactness_equals_self_description_up_to_order_4():
                 assert trip.regenerated == bc.lex_sort_desc(code)
 
 
+def test_poset_built_algebras_skip_the_axiom_scan(monkeypatch):
+    # construct, lift and the family algebra encode poset algebras, which
+    # are BCK by construction; only the public encoders check the axioms
+    def scan(alg):
+        raise AssertionError("axiom scan on a poset-built algebra")
+
+    monkeypatch.setattr("bckcodes.encode.check_axioms", scan)
+    code = bc.BlockCode.from_strings(rd.CODE4)
+    result = bc.construct_from_code(code)
+    assert result.algebra.table == rd.ALG4_FROM_CODE
+    assert bc.verify_roundtrip(code).exact
+    lifted = bc.lift_code(bc.BlockCode.from_strings(rd.LIFT_INPUT))
+    assert lifted.lifted_code.strings() == rd.LIFT_OUTPUT
+    alg, family = bc.family_algebra(5)
+    assert alg.order == len(family) == 64
+    with pytest.raises(AssertionError):
+        bc.canonical_code(result.algebra)
+
+
 def test_random_posets_recover_their_order():
     rng = random.Random(13)
     for trial in range(20):

@@ -169,7 +169,9 @@ def test_cli_verify_failure_exits_1(tmp_path, capsys):
 
 
 def test_cli_verify_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", stdio.StringIO(ALG4_TEXT))
+    monkeypatch.setattr(
+        "sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(ALG4_TEXT.encode()), encoding="utf-8")
+    )
     assert main(["verify", "-"]) == 0
     assert "bck: yes" in capsys.readouterr().out
 
@@ -185,12 +187,16 @@ def test_cli_verify_parse_error_exits_2(tmp_path, capsys):
 )
 def test_cli_missing_file_exits_2(tmp_path, monkeypatch, capsys, case):
     # input that cannot be read as UTF-8 text is malformed input, not a
-    # failed property and not a traceback
+    # failed property and not a traceback; under a C/POSIX locale the
+    # real stdin decodes with surrogateescape, which never raises
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe")
     alg = _write(tmp_path, "alg.txt", ALG4_TEXT)
     monkeypatch.setattr(
-        "sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(b"\xff\xfe"), encoding="utf-8")
+        "sys.stdin",
+        stdio.TextIOWrapper(
+            stdio.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="surrogateescape"
+        ),
     )
     argv = {
         "missing": ["verify", str(tmp_path / "nope.txt")],
@@ -316,6 +322,13 @@ def test_cli_enumerate_family_json(capsys):
 def test_cli_enumerate_order_6_needs_explicit_cap(capsys):
     assert main(["enumerate", "--order", "6", "--algebras"]) == 2
     assert "--max-order 6" in capsys.readouterr().err
+
+
+def test_cli_enumerate_order_7_exits_2_without_a_warning(capsys):
+    assert main(["enumerate", "--order", "7", "--algebras", "--max-order", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "order 7 is out of scope" in err
+    assert "warning" not in err
 
 
 def test_cli_enumerate_codes_out_of_range(capsys):
