@@ -2,9 +2,9 @@
 
 `axiom_witnesses` scans a flattened Cayley table for the first
 violation of each of the five BCK axioms, `table_is_bck` answers the
-same question with a yes or no, and `bck_candidates` enumerates every
-Cayley table of a given order that satisfies all five axioms, in a
-fixed depth-first order.
+same question with a yes or no, and `bck_candidates` enumerates the
+naturally labeled Cayley tables of a given order that satisfy all five
+axioms, one or more per isomorphism class, in a fixed depth-first order.
 
 The axiom-1 scan is cubic in the order, so for larger tables it switches
 to a vectorised numpy walk; witnesses stay lexicographically first in
@@ -100,15 +100,21 @@ def table_is_bck(flat: Sequence[int], n: int) -> bool:
 
 
 def bck_candidates(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every order-n Cayley table satisfying the five axioms.
+    """Yield every naturally labeled order-n BCK Cayley table.
+
+    A table is naturally labeled when x*y = 0 and x != y imply x < y as
+    integers.  Every isomorphism class has such a member: the induced
+    order has a linear extension with 0 first.  Since x*y <= x in every
+    BCK-algebra, a naturally labeled table has x*y in 1..x when x > y
+    and in 0..x otherwise, and those are the only values tried.
 
     Cells (0, y), (x, 0) and (x, x) are pinned to 0, x and 0; the
     remaining cells are filled depth-first in row-major order with
     values tried in ascending order, pruning on axiom instances that
     the partial assignment already determines.  Unassigned cells hold
     -1 during the search, so value lookups guard with `>= 0`.  Tables
-    are yielded as they are found, so taking the first few is cheap
-    even at orders where the full sweep is slow.
+    are yielded as they are found, in ascending order of the flat
+    table, so taking the first few is cheap.
     """
     t = [-1] * (n * n)
     for x in range(n):
@@ -117,6 +123,7 @@ def bck_candidates(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         t[x * n + x] = 0
 
     cells = [(x, y) for x in range(1, n) for y in range(1, n) if x != y]
+    domains = [range(1, x + 1) if x > y else range(x + 1) for x, y in cells]
 
     def violates(x: int, y: int) -> bool:
         v = t[x * n + y]
@@ -148,7 +155,7 @@ def bck_candidates(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             return
         x, y = cells[depth]
         idx = x * n + y
-        for v in range(n):
+        for v in domains[depth]:
             t[idx] = v
             if not violates(x, y):
                 yield from fill(depth + 1)

@@ -165,7 +165,7 @@ class Poset:
         return self.leq[x][y]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def check_axioms(alg: CayleyAlgebra) -> AxiomReport:
     """Scan the whole table for violations of the five axioms."""
     n = alg.order

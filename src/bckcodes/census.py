@@ -1,36 +1,49 @@
 """Exhaustive enumeration of small BCK-algebras and their codes.
 
-Orders up to 5 enumerate in well under a minute; order 6 is allowed
-behind a flag since the search space is substantially larger.  The
-enumeration order is fixed (free table cells row-major, cell values
-ascending), so runs are reproducible and two runs can be compared
-table for table.
+The search runs up to isomorphism.  The kernel yields only naturally
+labeled tables, at least one per isomorphism class, and each one not
+seen before is expanded into its orbit under the relabelings that fix
+element 0.  An orbit is exactly one isomorphism class, so the census
+reads its classes straight off the orbits, with no pairwise
+isomorphism tests.  Orders up to 5 take well under a second; order 6 is
+allowed behind a flag and takes some seconds.  The labeled stream is
+the union of the orbits in ascending order of the flat table, so runs
+are reproducible and two runs can be compared table for table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
-from .algebra import CayleyAlgebra, are_isomorphic, check_axioms
+from .algebra import CayleyAlgebra, check_axioms
 from .codes import BlockCode
-from .encode import canonical_code
-from .errors import InputError, NotBckError
+from .encode import _code, canonical_code
+from .errors import InputError, InternalInvariantError, NotBckError
 
 _DEFAULT_MAX_ORDER = 5
 _FLAG_MAX_ORDER = 6
 
 
-def enumerate_bck_algebras(
-    n: int, *, allow_large: bool = False
-) -> Iterator[CayleyAlgebra]:
-    """Stream every BCK Cayley table of order n, element 0 the constant.
+def _relabel(flat: Sequence[int], n: int, h: Sequence[int]) -> tuple[int, ...]:
+    """Flat table of the copy relabeled by the bijection h (an image map)."""
+    hinv = [0] * n
+    for x, hx in enumerate(h):
+        hinv[hx] = x
+    rows = [hinv[a] * n for a in range(n)]
+    return tuple(h[flat[r + hinv[b]]] for r in rows for b in range(n))
 
-    Tables arrive in the kernel's deterministic depth-first order.  Each
-    one is re-validated with `check_axioms` before being yielded; the
-    kernel already guarantees this, so the filter is a cheap safety net.
+
+def _rows(flat: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+
+
+def _orbits(n: int, allow_large: bool) -> list[list[tuple[int, ...]]]:
+    """Every order-n BCK table, flat, as one sorted list per isomorphism class.
+
+    Classes are listed by their least table.
     """
     if n < 1:
         raise InputError("order must be positive")
@@ -41,24 +54,42 @@ def enumerate_bck_algebras(
                 f"order {n} must be enabled explicitly; the run can take long"
             )
         raise InputError(f"order {n} is out of scope (max {_FLAG_MAX_ORDER})")
+    relabelings = [(0,) + tail for tail in permutations(range(1, n))]
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
     for rows in _kernels.bck_candidates(n):
-        alg = CayleyAlgebra(rows)
-        if check_axioms(alg).is_bck:
-            yield alg
+        flat = tuple(chain.from_iterable(rows))
+        if flat not in seen:
+            orbit = {_relabel(flat, n, h) for h in relabelings}
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    orbits.sort()
+    return orbits
 
 
-def _relabel(alg: CayleyAlgebra, h: Sequence[int]) -> CayleyAlgebra:
-    """Apply the bijection h (as image map) to a Cayley table."""
-    n = alg.order
-    hinv = [0] * n
-    for x, hx in enumerate(h):
-        hinv[hx] = x
-    t = alg.table
-    return CayleyAlgebra(
-        tuple(
-            tuple(h[t[hinv[a]][hinv[b]]] for b in range(n)) for a in range(n)
-        )
-    )
+def _checked(flats: Iterable[tuple[int, ...]], n: int) -> Iterator[CayleyAlgebra]:
+    """Wrap flat tables, each re-validated once with `check_axioms`."""
+    for flat in flats:
+        alg = CayleyAlgebra(_rows(flat, n))
+        if not check_axioms(alg).is_bck:
+            raise InternalInvariantError(f"search yielded a non-BCK table {alg.table}")
+        yield alg
+
+
+def enumerate_bck_algebras(
+    n: int, *, allow_large: bool = False
+) -> Iterator[CayleyAlgebra]:
+    """Stream every BCK Cayley table of order n, element 0 the constant.
+
+    Tables arrive in ascending order of the flat table: the order in
+    which a row-major depth-first search over all labelings, values
+    ascending, would find them.  The whole set is built before the
+    first table is yielded.  Each table is re-validated with
+    `check_axioms`; the kernel already guarantees BCK, so a failure is
+    an internal invariant breach.
+    """
+    orbits = _orbits(n, allow_large)
+    yield from _checked(sorted(chain.from_iterable(orbits)), n)
 
 
 def _code_key(code: BlockCode):
@@ -71,32 +102,22 @@ def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     Plain canonical codes are label-sensitive, so this is the variant
     that is constant on isomorphism classes.
     """
+    n = alg.order
+    flat = alg.flat()
     best = None
     best_code = None
-    for tail in permutations(range(1, alg.order)):
-        code = canonical_code(_relabel(alg, (0,) + tail))
+    for tail in permutations(range(1, n)):
+        relabeled = CayleyAlgebra(_rows(_relabel(flat, n, (0,) + tail), n))
+        code = canonical_code(relabeled)
         key = _code_key(code)
         if best is None or key < best:
             best, best_code = key, code
     return best_code
 
 
-def _invariant_key(alg: CayleyAlgebra):
-    n = alg.order
-    t = alg.table
-    stats = sorted(
-        (
-            sum(1 for y in range(n) if t[x][y] == 0),
-            sum(1 for y in range(n) if t[y][x] == 0),
-        )
-        for x in range(n)
-    )
-    return tuple(stats)
-
-
 @dataclass(frozen=True)
 class ClassEntry:
-    """One isomorphism class: first representative found and its codes."""
+    """One isomorphism class: its least table, its size and its codes."""
 
     representative: CayleyAlgebra
     size: int
@@ -129,44 +150,37 @@ class CensusReport:
 
 
 def census(n: int, *, allow_large: bool = False) -> CensusReport:
-    algebras = list(enumerate_bck_algebras(n, allow_large=allow_large))
-    codes = [canonical_code(a) for a in algebras]
+    """Count the order-n BCK tables, their isomorphism classes and codes.
 
-    buckets: dict[tuple, list[int]] = {}
-    class_of = [-1] * len(algebras)
-    class_members: list[list[int]] = []
-    for i, alg in enumerate(algebras):
-        key = _invariant_key(alg)
-        for rep_idx in buckets.get(key, ()):
-            if are_isomorphic(algebras[rep_idx], alg) is not None:
-                cls = class_of[rep_idx]
-                class_of[i] = cls
-                class_members[cls].append(i)
-                break
-        else:
-            buckets.setdefault(key, []).append(i)
-            class_of[i] = len(class_members)
-            class_members.append([i])
-
+    Each class is one orbit: its representative is the orbit's least
+    table, its size the orbit's length, and its label-canonical code
+    the least code of its members, which is `label_canonical_code` of
+    any member.  Classes are listed by representative.
+    """
     inventory = []
     varies = False
+    code_keys = set()
     label_keys = set()
-    for members in class_members:
-        rep = algebras[members[0]]
-        member_keys = {_code_key(codes[i]) for i in members}
-        if len(member_keys) > 1:
+    total = 0
+    for orbit in _orbits(n, allow_large):
+        members = list(_checked(orbit, n))
+        codes = [_code(alg.table, range(n)) for alg in members]
+        keys = [_code_key(c) for c in codes]
+        if len(set(keys)) > 1:
             varies = True
-        lc = label_canonical_code(rep)
+        code_keys.update(keys)
+        lc = min(codes, key=_code_key)
         label_keys.add(_code_key(lc))
-        inventory.append(ClassEntry(rep, len(members), codes[members[0]], lc))
+        total += len(members)
+        inventory.append(ClassEntry(members[0], len(members), codes[0], lc))
 
     bound = 2 ** ((n - 1) * (n - 2) // 2)
-    iso_classes = len(class_members)
+    iso_classes = len(inventory)
     return CensusReport(
         order=n,
-        total_tables=len(algebras),
+        total_tables=total,
         iso_classes=iso_classes,
-        similarity_classes=len({_code_key(c) for c in codes}),
+        similarity_classes=len(code_keys),
         label_canonical_classes=len(label_keys),
         bound=bound,
         bound_check=iso_classes >= bound,

@@ -98,7 +98,11 @@ class RoundTripReport:
 
 
 def verify_roundtrip(code: BlockCode) -> RoundTripReport:
-    result = construct_from_code(code)
+    return _roundtrip(construct_from_code(code))
+
+
+def _roundtrip(result: ConstructionResult) -> RoundTripReport:
+    """The round-trip report of an algebra already built from its code."""
     words = result.code.words
     n = len(words)
     table = result.algebra.table

@@ -231,3 +231,13 @@ def test_names_do_not_affect_equality():
     assert hash(a) == hash(b)
     assert a.element_name(1) == "one"
     assert b.element_name(1) == "1"
+
+
+def test_check_axioms_cache_is_bounded():
+    maxsize = bc.check_axioms.cache_info().maxsize
+    assert maxsize is not None
+    tables = list(bc.enumerate_bck_algebras(5))
+    assert len(tables) > maxsize
+    for alg in tables:
+        bc.check_axioms(alg)
+    assert bc.check_axioms.cache_info().currsize <= maxsize

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
@@ -5,7 +7,12 @@ from math import factorial
 import pytest
 
 import bckcodes as bc
+from bckcodes._kernels import pure
+from bckcodes.cli import main
 from test_algebra import brute_axiom_holds
+
+# the package's `census` attribute is the function, not the module
+census_module = importlib.import_module("bckcodes.census")
 
 # census re-enumerates on every call; cache so the two parametrized
 # sweeps below share one order-5 run
@@ -52,6 +59,69 @@ def test_enumeration_matches_unpruned_brute_force(n):
     pruned = {a.table for a in bc.enumerate_bck_algebras(n)}
     brute = set(_brute_force_tables(n))
     assert pruned == brute
+
+
+def _labeled_search(n):
+    """Every order-n BCK table by a depth-first search over all labelings.
+
+    This is the library's table search before it was restricted to
+    naturally labeled tables: the same pinned cells, row-major cell
+    order, ascending values and axiom pruning, but every value 0..n-1
+    is tried in every free cell.  Tables come out in ascending order of
+    the flat table.
+    """
+    t = [-1] * (n * n)
+    for x in range(n):
+        t[x] = 0
+        t[x * n] = x
+        t[x * n + x] = 0
+
+    cells = [(x, y) for x in range(1, n) for y in range(1, n) if x != y]
+
+    def violates(x, y):
+        v = t[x * n + y]
+        if v == 0 and t[y * n + x] == 0:
+            return True
+        p = t[x * n + v]
+        if p >= 0 and t[p * n + y] > 0:
+            return True
+        for z in range(n):
+            b = t[x * n + z]
+            if b < 0:
+                continue
+            c = t[v * n + b]
+            if c >= 0:
+                d = t[z * n + y]
+                if d >= 0 and t[c * n + d] > 0:
+                    return True
+            c = t[b * n + v]
+            if c >= 0:
+                d = t[y * n + z]
+                if d >= 0 and t[c * n + d] > 0:
+                    return True
+        return False
+
+    def fill(depth):
+        if depth == len(cells):
+            if pure.table_is_bck(t, n):
+                yield tuple(tuple(t[x * n : x * n + n]) for x in range(n))
+            return
+        x, y = cells[depth]
+        idx = x * n + y
+        for v in range(n):
+            t[idx] = v
+            if not violates(x, y):
+                yield from fill(depth + 1)
+        t[idx] = -1
+
+    return fill(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_matches_labeled_search(n):
+    # The orbits of the naturally labeled tables, merged in flat-table
+    # order, must give the labeled search's stream table for table.
+    assert [a.table for a in bc.enumerate_bck_algebras(n)] == list(_labeled_search(n))
 
 
 def test_enumerated_tables_restore_left_unit_column():
@@ -107,6 +177,38 @@ def test_class_sizes_match_orbit_counting(n):
     labelings = factorial(n - 1)
     for entry in _census(n).class_inventory:
         assert entry.size * _automorphism_count(entry.representative) == labelings
+
+
+# md5 of `bckcodes enumerate --algebras --order 5 --json`, frozen from
+# the census that found its classes by pairwise isomorphism tests.
+CENSUS5_JSON_MD5 = "370992b4374ac81029aad95d7c082d47"
+
+
+def test_census_needs_no_isomorphism_tests(monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError("census must read its classes off the orbits")
+
+    monkeypatch.setattr(census_module, "are_isomorphic", boom, raising=False)
+    monkeypatch.setattr(bc.algebra, "are_isomorphic", boom)
+    monkeypatch.setattr(census_module, "label_canonical_code", boom)
+    assert main(["enumerate", "--order", "5", "--algebras", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == CENSUS5_JSON_MD5
+
+
+def test_census_checks_each_table_once(monkeypatch):
+    calls = []
+    check = census_module.check_axioms
+
+    def counting(alg):
+        calls.append(alg.table)
+        return check(alg)
+
+    # every module that can reach the scan on the census path
+    for name in ("bckcodes.census", "bckcodes.encode"):
+        monkeypatch.setattr(importlib.import_module(name), "check_axioms", counting)
+    report = bc.census(5)
+    assert len(calls) == len(set(calls)) == report.total_tables == EXPECTED_TOTALS[5]
 
 
 def test_iso_partition_is_valid_at_order_3():

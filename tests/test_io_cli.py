@@ -1,12 +1,16 @@
 import io as stdio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import bckcodes as bc
-from bckcodes import io
+from bckcodes import cli, construct, io
 from bckcodes.cli import main
 import reference_data as rd
 
@@ -262,6 +266,21 @@ def test_cli_construct_inexact(tmp_path, capsys):
     assert "warning: round trip is inexact" in captured.err
 
 
+def test_cli_construct_builds_the_algebra_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    build = construct.construct_from_code
+
+    def counting(code):
+        calls.append(code)
+        return build(code)
+
+    monkeypatch.setattr(cli, "construct_from_code", counting)
+    monkeypatch.setattr(construct, "construct_from_code", counting)
+    path = _write(tmp_path, "code.txt", "\n".join(rd.CODE4) + "\n")
+    assert main(["construct", path]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_construct_rejects_non_member(tmp_path, capsys):
     path = _write(tmp_path, "code.txt", "10\n01\n")
     assert main(["construct", path]) == 2
@@ -345,3 +364,24 @@ def test_cli_json_is_valid_json(tmp_path, capsys):
     path = _write(tmp_path, "alg.txt", ALG4_TEXT)
     main(["verify", path, "--json"])
     json.loads(capsys.readouterr().out)
+
+
+def test_python_m_bckcodes_prints_the_readme_output():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("$ bckcodes enumerate --order 3 --algebras") + 1
+    stop = start
+    while not lines[stop].startswith(("$ ", "```")):
+        stop += 1
+    expected = "\n".join(lines[start:stop]) + "\n"
+
+    src = str(Path(bc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bckcodes", "enumerate", "--order", "3", "--algebras"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from bckcodes._kernels import pure
+from test_algebra import brute_axiom_holds
 
 
 def _random_table(rng, n):
@@ -60,3 +63,15 @@ def test_first_tables_stream_before_the_sweep_finishes():
     first = next(gen)
     assert first[0] == (0, 0, 0, 0, 0)
     gen.close()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_search_yields_naturally_labeled_bck_tables(n):
+    # Naturally labeled: x*y = 0 and x != y imply x < y.
+    tables = list(pure.bck_candidates(n))
+    assert tables
+    for t in tables:
+        assert all(
+            x < y for x in range(n) for y in range(n) if x != y and t[x][y] == 0
+        )
+        assert all(brute_axiom_holds(t, axiom) for axiom in (1, 2, 3, 4, 5))
