@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from . import _kernels
 from .algebra import CayleyAlgebra, check_axioms
 from .codes import BlockCode
-from .encode import _code, canonical_code
+from .encode import _code
 from .errors import InputError, InternalInvariantError, NotBckError
 
 _DEFAULT_MAX_ORDER = 5
@@ -93,22 +93,24 @@ def enumerate_bck_algebras(
 
 
 def _code_key(code: BlockCode):
-    return tuple(w.bits for w in code.words)
+    return tuple(w.value for w in code.words)
 
 
 def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     """Canonical code minimised over all relabelings fixing element 0.
 
     Plain canonical codes are label-sensitive, so this is the variant
-    that is constant on isomorphism classes.
+    that is constant on isomorphism classes.  The axioms are checked
+    once; relabeling preserves them.
     """
+    if not check_axioms(alg).is_bck:
+        raise NotBckError("label_canonical_code requires a BCK-algebra")
     n = alg.order
     flat = alg.flat()
     best = None
     best_code = None
     for tail in permutations(range(1, n)):
-        relabeled = CayleyAlgebra(_rows(_relabel(flat, n, (0,) + tail), n))
-        code = canonical_code(relabeled)
+        code = _code(_rows(_relabel(flat, n, (0,) + tail), n), range(n))
         key = _code_key(code)
         if best is None or key < best:
             best, best_code = key, code
@@ -207,7 +209,7 @@ def quotient_classes(
             raise InputError("all algebras must share one order")
         if not check_axioms(alg).is_bck:
             raise NotBckError("quotient_classes requires BCK-algebras")
-        code = canonical_code(alg)
+        code = _code(alg.table, range(order))
         key = _code_key(code)
         groups.setdefault(key, (code, []))[1].append(alg)
     ordered = sorted(groups.items(), key=lambda item: item[0], reverse=True)

@@ -22,9 +22,13 @@ from .algebra import (
 from .census import census
 from .codes import enumerate_triangular_codes
 from .construct import _roundtrip, construct_from_code
-from .encode import BckFunction, generate_code
+from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
 from .lift import family_algebra, lift_code
+
+# Ceiling on --max-order for --codes, which prints all 2**((n-1)(n-2)/2)
+# members: 2,097,152 at order 8, 2**28 at order 9.
+_CODES_MAX_ORDER = 8
 
 _AXIOM_TEXT = {
     1: "((x*y)*(x*z))*(z*y) = 0",
@@ -136,7 +140,7 @@ def cmd_encode(args) -> int:
         fn = io.parse_function(_read(args.function), alg)
     else:
         fn = BckFunction.identity(alg)
-    code = generate_code(fn)
+    code = _code(alg.table, fn.values)
     if args.json:
         payload = {
             "order": alg.order,
@@ -229,17 +233,15 @@ def cmd_lift(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.order
     if args.codes:
-        max_order = max(7, args.max_order or 0)
-        codes = list(enumerate_triangular_codes(n, max_order=max_order))
+        max_order = min(max(7, args.max_order or 0), _CODES_MAX_ORDER)
+        codes = enumerate_triangular_codes(n, max_order=max_order)
+        count = 2 ** ((n - 1) * (n - 2) // 2)
         if args.json:
-            payload = {
-                "order": n,
-                "count": len(codes),
-                "codes": [list(c.strings()) for c in codes],
-            }
-            sys.stdout.write(io.render_report("codes", payload))
+            payload = {"order": n, "count": count}
+            rows = (list(c.strings()) for c in codes)
+            sys.stdout.writelines(io.stream_report("codes", payload, "codes", rows))
         else:
-            sys.stdout.write(f"count: {len(codes)}\n")
+            sys.stdout.write(f"count: {count}\n")
             for c in codes:
                 sys.stdout.write(" ".join(c.strings()) + "\n")
         return 0

@@ -12,33 +12,58 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Codeword:
-    bits: tuple[int, ...]
+def pack_bits(bits: Iterable[int]) -> int:
+    """The value of the word with these 0/1 bits, bit 0 most significant."""
+    value = 0
+    for b in bits:
+        value = value << 1 | b
+    return value
 
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+
+@dataclass(frozen=True, init=False)
+class Codeword:
+    """A word of ``length`` bits; bit 0 is the most significant bit of ``value``."""
+
+    value: int
+    length: int
+
+    def __init__(self, bits):
+        bits = tuple(int(b) for b in bits)
         if not bits:
             raise InputError("empty codeword")
         if any(b not in (0, 1) for b in bits):
             raise InputError("codeword bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "value", pack_bits(bits))
+        object.__setattr__(self, "length", len(bits))
+
+    @classmethod
+    def of(cls, value: int, length: int) -> "Codeword":
+        """The word of ``length`` bits whose integer value is ``value``."""
+        if length < 1 or not 0 <= value < 1 << length:
+            raise InputError(f"value {value} does not fit in {length} bits")
+        w = object.__new__(cls)
+        object.__setattr__(w, "value", value)
+        object.__setattr__(w, "length", length)
+        return w
 
     @classmethod
     def from_string(cls, s: str) -> "Codeword":
         return cls(tuple(int(c) for c in s))
 
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(int(c) for c in str(self))
+
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.length}b")
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     @property
     def support(self) -> frozenset[int]:
@@ -49,7 +74,7 @@ def word_leq(a: Codeword, b: Codeword) -> bool:
     """Codeword order: a <= b iff b's support is contained in a's."""
     if len(a) != len(b):
         raise InputError("codewords have different lengths")
-    return all(x >= y for x, y in zip(a.bits, b.bits))
+    return b.value & ~a.value == 0
 
 
 @dataclass(frozen=True)
@@ -144,7 +169,7 @@ class CodeMatrix:
 
 def lex_sort_desc(code: BlockCode) -> BlockCode:
     """The same code with words in descending lexicographic order."""
-    return BlockCode(tuple(sorted(code.words, key=lambda w: w.bits, reverse=True)))
+    return BlockCode(tuple(sorted(code.words, key=lambda w: w.value, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -166,51 +191,49 @@ def is_triangular_code(code: BlockCode) -> MembershipCheck:
     n = code.length
     if len(code) != n:
         return MembershipCheck(False, f"not square: {len(code)} words of length {n}")
-    if all(0 in w.bits for w in code.words):
+    values = sorted((w.value for w in code.words), reverse=True)
+    if values[0] != (1 << n) - 1:
         return MembershipCheck(False, "all-ones word missing")
-    m = CodeMatrix.from_code(lex_sort_desc(code))
-    for i in range(n):
-        for j in range(i):
-            if m.entries[i][j]:
-                return MembershipCheck(
-                    False, f"sorted row {i} has a 1 left of the diagonal"
-                )
-        if not m.entries[i][i]:
+    for i, v in enumerate(values):
+        if v >> (n - i):
+            return MembershipCheck(
+                False, f"sorted row {i} has a 1 left of the diagonal"
+            )
+        if not v >> (n - 1 - i) & 1:
             return MembershipCheck(False, f"sorted row {i} has no 1 on the diagonal")
     return MembershipCheck(True)
 
 
 def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockCode]:
-    """Yield every member of the order-n triangular family.
+    """Iterate lazily over every member of the order-n triangular family.
 
     Row 0 is forced to all ones and row n-1 to 0...01; rows in between
     have free bits right of the diagonal, swept most-significant-first
     in row-major order, so the family arrives in a stable sequence of
-    size 2**((n-1)*(n-2)/2).
+    size 2**((n-1)*(n-2)/2).  The bounds are checked on the call, before
+    the first member.
     """
     if n < 1:
         raise InputError("n must be positive")
     if n > max_order:
         raise InputError(f"n={n} exceeds the bound {max_order}")
-    free = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
-    base = [[0] * n for _ in range(n)]
-    for i in range(n):
-        base[i][i] = 1
-    base[0] = [1] * n
-    for pattern in product((0, 1), repeat=len(free)):
-        rows = [row[:] for row in base]
-        for (i, j), bit in zip(free, pattern):
-            rows[i][j] = bit
-        yield BlockCode(tuple(Codeword(tuple(r)) for r in rows))
+    # Row i's free bits are its low n-1-i bits; counting `pattern` up
+    # hands them out row-major, most significant first.
+    shapes = [(1 << (n - 1 - i), (n - 2 - i) * (n - 1 - i) // 2) for i in range(1, n)]
+    top = Codeword.of((1 << n) - 1, n)
+
+    def member(pattern: int) -> BlockCode:
+        rows = (diag | (pattern >> shift) & (diag - 1) for diag, shift in shapes)
+        return BlockCode((top, *(Codeword.of(v, n) for v in rows)))
+
+    return map(member, range(1 << (n - 1) * (n - 2) // 2))
 
 
 def staircase_code(n: int) -> BlockCode:
     """The member whose sorted row k is k zeros followed by n-k ones."""
     if n < 1:
         raise InputError("n must be positive")
-    return BlockCode(
-        tuple(Codeword(tuple(0 if j < i else 1 for j in range(n))) for i in range(n))
-    )
+    return BlockCode(tuple(Codeword.of((1 << (n - i)) - 1, n) for i in range(n)))
 
 
 class Comparison(enum.Enum):
@@ -227,17 +250,15 @@ def _sorted_member_rows(code: BlockCode, other: BlockCode):
         check = is_triangular_code(c)
         if not check:
             raise InputError(f"not a triangular-family code: {check.reason}")
-    a = lex_sort_desc(code).words
-    b = lex_sort_desc(other).words
-    return a, b
+    return [sorted((w.value for w in c.words), reverse=True) for c in (code, other)]
 
 
 def compare_codes_lex(v: BlockCode, w: BlockCode) -> Comparison:
     """Total order: compare the first differing sorted rows as numbers."""
     a, b = _sorted_member_rows(v, w)
     for ra, rb in zip(a, b):
-        if ra.bits != rb.bits:
-            return Comparison.GREATER if ra.bits > rb.bits else Comparison.LESS
+        if ra != rb:
+            return Comparison.GREATER if ra > rb else Comparison.LESS
     return Comparison.EQUAL
 
 
@@ -245,10 +266,10 @@ def compare_codes_word(v: BlockCode, w: BlockCode) -> Comparison:
     """Partial order: compare the first differing sorted rows by word order."""
     a, b = _sorted_member_rows(v, w)
     for ra, rb in zip(a, b):
-        if ra.bits != rb.bits:
-            if word_leq(ra, rb):
+        if ra != rb:
+            if rb & ~ra == 0:
                 return Comparison.LESS
-            if word_leq(rb, ra):
+            if ra & ~rb == 0:
                 return Comparison.GREATER
             return Comparison.INCOMPARABLE
     return Comparison.EQUAL

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterator
 
 from .algebra import CayleyAlgebra, Poset
-from .codes import BlockCode, Codeword, is_triangular_code, lex_sort_desc, word_leq
+from .codes import BlockCode, Codeword, is_triangular_code, lex_sort_desc, pack_bits
 from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
 
@@ -60,11 +60,9 @@ def construct_from_code(code: BlockCode) -> ConstructionResult:
     if not check:
         raise InputError(f"not a triangular-family code: {check.reason}")
     sorted_code = lex_sort_desc(code)
-    words = sorted_code.words
-    n = len(words)
-    leq = tuple(
-        tuple(word_leq(words[i], words[j]) for j in range(n)) for i in range(n)
-    )
+    values = [w.value for w in sorted_code.words]
+    n = len(values)
+    leq = tuple(tuple(b & ~a == 0 for b in values) for a in values)
     poset = Poset(leq)
     if poset.minimum != 0:
         raise InternalInvariantError("all-ones word is not the order minimum")
@@ -112,15 +110,12 @@ def _roundtrip(result: ConstructionResult) -> RoundTripReport:
 
     mismatches = []
     for k in range(n):
-        produced = Codeword(tuple(int(table[k][j] == 0) for j in range(n)))
+        produced = Codeword.of(pack_bits(table[k][j] == 0 for j in range(n)), n)
         if produced != words[k]:
             mismatches.append(RowMismatch(k, words[k], produced))
 
-    self_describing = all(
-        (words[k].bits[j] == 1) == word_leq(words[k], words[j])
-        for k in range(n)
-        for j in range(n)
-    )
+    values = [w.value for w in words]
+    self_describing = all(a == pack_bits(b & ~a == 0 for b in values) for a in values)
     return RoundTripReport(exact, regenerated, tuple(mismatches), self_describing)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CayleyAlgebra, check_axioms
-from .codes import BlockCode, Codeword
+from .codes import BlockCode, Codeword, pack_bits
 from .errors import InputError, NotBckError
 
 
@@ -86,8 +86,8 @@ def equivalence_classes(f: BckFunction) -> EquivalenceClasses:
 
 def _code(table, values) -> BlockCode:
     """Distinct words (r * v == 0 for v in values), lex-descending; table must be BCK."""
-    words = {tuple(int(row[v] == 0) for v in values) for row in table}
-    return BlockCode(tuple(Codeword(w) for w in sorted(words, reverse=True)))
+    words = {pack_bits(row[v] == 0 for v in values) for row in table}
+    return BlockCode(tuple(Codeword.of(w, len(values)) for w in sorted(words)[::-1]))
 
 
 def generate_code(f: BckFunction) -> BlockCode:

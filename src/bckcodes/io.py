@@ -11,7 +11,8 @@ and parse back with `parse_report`.
 from __future__ import annotations
 
 import json
-from typing import Iterator
+import textwrap
+from typing import Iterable, Iterator
 
 from .algebra import CayleyAlgebra
 from .codes import BlockCode, Codeword
@@ -128,6 +129,21 @@ def render_report(kind: str, payload: dict) -> str:
     body = {"report_version": REPORT_VERSION, "kind": kind}
     body.update(payload)
     return json.dumps(body, indent=2) + "\n"
+
+
+def stream_report(kind: str, payload: dict, key: str, items: Iterable) -> Iterator[str]:
+    """The text of `render_report` with ``payload[key]`` drawn from items.
+
+    The pieces join to ``render_report(kind, {**payload, key: list(items)})``,
+    with ``key`` not in payload, but hold only one item at a time.
+    """
+    head = render_report(kind, {**payload, key: []})
+    yield head[: -len("]\n}\n")]
+    sep = "\n"
+    for item in items:
+        yield sep + textwrap.indent(json.dumps(item, indent=2), "    ")
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
 
 def parse_report(text: str) -> dict:

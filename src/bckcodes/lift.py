@@ -17,6 +17,7 @@ from .algebra import CayleyAlgebra, Poset
 from .codes import (
     BlockCode,
     CodeMatrix,
+    enumerate_triangular_codes,
     lex_sort_desc,
     staircase_code,
 )
@@ -113,21 +114,15 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
     canonical code (one word per member).  Bounded at n = 6, where the
     family already has 1024 members.
     """
-    from .codes import enumerate_triangular_codes
-
     if not 1 <= n <= 6:
         raise InputError("family_algebra supports 1 <= n <= 6")
 
     members = [lex_sort_desc(c) for c in enumerate_triangular_codes(n)]
-    members.sort(key=lambda c: tuple(w.bits for w in c.words), reverse=True)
-    if members[0] != staircase_code(n):
+    # Rows as raw ints, not Codewords, in the size**2 loop: a <= b is b & ~a == 0.
+    packed = sorted((tuple(w.value for w in c.words) for c in members), reverse=True)
+    if packed[0] != tuple(w.value for w in staircase_code(n).words):
         raise InternalInvariantError("family maximum is not the staircase code")
-
-    # Rows packed as integers: word order a <= b becomes b & ~a == 0.
-    packed = [
-        tuple(int("".join(map(str, w.bits)), 2) for w in c.words) for c in members
-    ]
-    size = len(members)
+    size = len(packed)
 
     def le(i: int, j: int) -> bool:
         for a, b in zip(packed[i], packed[j]):

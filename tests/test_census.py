@@ -211,6 +211,34 @@ def test_census_checks_each_table_once(monkeypatch):
     assert len(calls) == len(set(calls)) == report.total_tables == EXPECTED_TOTALS[5]
 
 
+def _count_axiom_checks(monkeypatch):
+    calls = []
+    check = census_module.check_axioms
+
+    def counting(alg):
+        calls.append(alg.table)
+        return check(alg)
+
+    for name in ("bckcodes.algebra", "bckcodes.census", "bckcodes.encode"):
+        monkeypatch.setattr(importlib.import_module(name), "check_axioms", counting)
+    return calls
+
+
+def test_quotient_classes_checks_each_input_once(monkeypatch):
+    algebras = list(bc.enumerate_bck_algebras(4))
+    calls = _count_axiom_checks(monkeypatch)
+    classes = bc.quotient_classes(algebras)
+    assert len(calls) == len(algebras) == EXPECTED_TOTALS[4]
+    assert len(classes) == EXPECTED_SIMILARITY[4]
+
+
+def test_label_canonical_code_checks_its_input_once(monkeypatch):
+    alg = next(bc.enumerate_bck_algebras(5))
+    calls = _count_axiom_checks(monkeypatch)
+    bc.label_canonical_code(alg)
+    assert calls == [alg.table]
+
+
 def test_iso_partition_is_valid_at_order_3():
     algebras = list(bc.enumerate_bck_algebras(3))
     reps = [entry.representative for entry in _census(3).class_inventory]

@@ -200,3 +200,64 @@ def test_comparisons_require_same_order_members():
     not_member = bc.BlockCode.from_strings(["110", "011", "001"])
     with pytest.raises(bc.InputError):
         bc.compare_codes_word(not_member, bc.staircase_code(3))
+
+
+# ------------------------------------------------------ integer representation
+
+
+@given(st.integers(1, 16).flatmap(same_length_words))
+def test_codeword_constructors_agree(bits):
+    n = len(bits)
+    value = int("".join(map(str, bits)), 2)
+    by_bits = bc.Codeword(bits)
+    by_value = bc.Codeword.of(value, n)
+    by_string = bc.Codeword.from_string(str(by_bits))
+    for w in (by_bits, by_value, by_string):
+        assert w == by_bits
+        assert hash(w) == hash(by_bits)
+        assert w.bits == bits
+        assert w.value == value
+        assert w.length == len(w) == n
+        assert str(w) == "".join(map(str, bits))
+        assert w.support == frozenset(i for i, b in enumerate(bits) if b)
+
+
+@given(st.integers(1, 16).flatmap(lambda n: st.lists(same_length_words(n), max_size=12)))
+def test_value_order_is_bit_order_at_equal_length(rows):
+    words = [bc.Codeword(b) for b in rows]
+    assert sorted(words, key=lambda w: w.value) == sorted(words, key=lambda w: w.bits)
+
+
+@pytest.mark.parametrize(
+    "value,length",
+    [(0, 0), (1, 0), (0, -1), (-1, 4), (16, 4), (2, 1), (1 << 16, 16)],
+)
+def test_codeword_of_rejects_values_that_do_not_fit(value, length):
+    with pytest.raises(bc.InputError):
+        bc.Codeword.of(value, length)
+
+
+def _reference_is_triangular(code):
+    """Membership read off the CodeMatrix of the lex-descending code."""
+    n = code.length
+    if len(code) != n:
+        return False, f"not square: {len(code)} words of length {n}"
+    if all(0 in w.bits for w in code.words):
+        return False, "all-ones word missing"
+    m = bc.CodeMatrix.from_code(bc.lex_sort_desc(code))
+    for i in range(n):
+        for j in range(i):
+            if m.entries[i][j]:
+                return False, f"sorted row {i} has a 1 left of the diagonal"
+        if not m.entries[i][i]:
+            return False, f"sorted row {i} has no 1 on the diagonal"
+    return True, None
+
+
+@pytest.mark.parametrize("size,length", [(4, 4), (3, 3), (2, 3)])
+def test_triangular_membership_matches_the_matrix_reference(size, length):
+    words = [format(v, f"0{length}b") for v in range(1 << length)]
+    for chosen in combinations(words, size):
+        code = bc.BlockCode.from_strings(chosen)
+        check = bc.is_triangular_code(code)
+        assert (check.ok, check.reason) == _reference_is_triangular(code), chosen

@@ -1,12 +1,16 @@
+import contextlib
+import importlib
 import io as stdio
 import json
 import os
+import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bckcodes as bc
@@ -235,6 +239,22 @@ def test_cli_encode_rejects_non_bck(tmp_path, capsys):
     assert "not a BCK-algebra" in capsys.readouterr().err
 
 
+def test_cli_encode_checks_the_axioms_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    check = cli.check_axioms
+
+    def counting(alg):
+        calls.append(alg.table)
+        return check(alg)
+
+    for name in ("bckcodes.algebra", "bckcodes.cli", "bckcodes.encode"):
+        monkeypatch.setattr(importlib.import_module(name), "check_axioms", counting)
+    path = _write(tmp_path, "alg.txt", ALG4_TEXT)
+    assert main(["encode", path]) == 0
+    assert io.parse_code(capsys.readouterr().out).strings() == rd.CODE4
+    assert calls == [rd.ALG4_COMMUTATIVE]
+
+
 def test_cli_construct_exact(tmp_path, capsys):
     path = _write(tmp_path, "code.txt", "\n".join(rd.CODE4) + "\n")
     assert main(["construct", path]) == 0
@@ -353,6 +373,86 @@ def test_cli_enumerate_order_7_exits_2_without_a_warning(capsys):
 def test_cli_enumerate_codes_out_of_range(capsys):
     assert main(["enumerate", "--order", "9", "--codes"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _limit_memory():
+    # 1 GB of address space: a regression that builds the order-12 family
+    # dies with MemoryError in the child instead of exhausting the host.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_enumerate_codes_above_the_ceiling_exits_2():
+    src = str(Path(bc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bckcodes", "enumerate", "--codes"]
+        + ["--order", "12", "--max-order", "12"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_memory,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_cli_enumerate_codes_json_streams_the_report(n, capsys):
+    assert main(["enumerate", "--order", str(n), "--codes", "--json"]) == 0
+    out = capsys.readouterr().out
+    codes = [list(c.strings()) for c in bc.enumerate_triangular_codes(n)]
+    payload = {"order": n, "count": len(codes), "codes": codes}
+    assert out == io.render_report("codes", payload)
+
+
+@pytest.mark.parametrize("items", [[], [["1"]], [["11", "01"], ["10", "00"]]])
+def test_stream_report_joins_to_render_report(items):
+    pieces = io.stream_report("codes", {"order": 2}, "codes", iter(items))
+    assert "".join(pieces) == io.render_report("codes", {"order": 2, "codes": items})
+
+
+_family_lines = (
+    st.integers(1, 5)
+    .flatmap(lambda n: st.sampled_from(list(bc.enumerate_triangular_codes(n))))
+    .flatmap(lambda code: st.permutations(code.strings()))
+)
+_code_text = st.lists(
+    st.one_of(
+        st.text("01", min_size=1, max_size=5),
+        st.text("01", max_size=5),
+        st.text("01 \t#x2", max_size=6),
+    ),
+    max_size=8,
+).flatmap(
+    lambda lines: st.one_of(
+        st.just(lines),
+        st.just(lines + lines[:2]),
+        _family_lines.map(lambda fam: fam + lines[:1]),
+        _family_lines,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["construct", "lift"]),
+    _code_text,
+    st.sampled_from([[], ["--json"]]),
+)
+def test_construct_and_lift_keep_the_exit_contract(command, lines, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out, err = stdio.StringIO(), stdio.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, *flags])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert out.getvalue()
 
 
 def test_cli_requires_a_mode():
