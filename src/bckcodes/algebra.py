@@ -20,9 +20,8 @@ import functools
 from dataclasses import dataclass, field
 from itertools import permutations
 
-import numpy as np
-
 from . import _kernels
+from .codes import bit_positions, pack_bits
 from .errors import InputError, InternalInvariantError, NotBckError
 
 
@@ -114,52 +113,67 @@ class PropertyCheck:
         return self.holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poset:
-    """A finite partial order on 0..n-1 as a boolean relation matrix.
+    """A finite partial order on 0..n-1 as one codeword per element.
 
-    Construction validates reflexivity, antisymmetry and transitivity.
-    ``minimum`` is detected automatically; passing it explicitly just
-    asserts the detected value.
+    Bit y of ``rows[x]`` is set iff x <= y, bit 0 the most significant
+    of n bits as in `Codeword`.  Construction, from a boolean matrix or
+    with `of` from the rows, validates reflexivity, antisymmetry and
+    transitivity.  ``minimum`` is detected automatically; passing it
+    explicitly just asserts the detected value.
     """
 
-    leq: tuple[tuple[bool, ...], ...]
-    minimum: int | None = None
+    rows: tuple[int, ...]
+    minimum: int | None
 
-    def __post_init__(self):
-        rows = tuple(tuple(bool(v) for v in row) for row in self.leq)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+    def __init__(self, leq, minimum: int | None = None):
+        matrix = tuple(tuple(bool(v) for v in row) for row in leq)
+        if any(len(row) != len(matrix) for row in matrix):
             raise InputError("relation matrix must be square and non-empty")
-        object.__setattr__(self, "leq", rows)
+        self._validate(tuple(pack_bits(row) for row in matrix), minimum)
 
-        m = np.array(rows, dtype=bool)
-        if not m.diagonal().all():
+    @classmethod
+    def of(cls, rows, minimum: int | None = None) -> "Poset":
+        """The poset whose row x has bit y set iff x <= y."""
+        p = object.__new__(cls)
+        p._validate(tuple(rows), minimum)
+        return p
+
+    def _validate(self, rows: tuple[int, ...], minimum: int | None) -> None:
+        n = len(rows)
+        if n == 0 or any(not 0 <= r < 2**n for r in rows):
+            raise InputError("relation matrix must be square and non-empty")
+        up = [bit_positions(r, n) for r in rows]
+        up_sets = [set(ys) for ys in up]
+        if any(x not in ys for x, ys in enumerate(up_sets)):
             raise InputError("relation is not reflexive")
-        both = m & m.T
-        np.fill_diagonal(both, False)
-        if both.any():
-            x, y = np.argwhere(both)[0]
-            raise InputError(f"relation is not antisymmetric at ({x}, {y})")
-        f = m.astype(np.float32)
-        reach2 = (f @ f) > 0.5
-        if (reach2 & ~m).any():
-            x, y = np.argwhere(reach2 & ~m)[0]
-            raise InputError(f"relation is not transitive at ({x}, {y})")
-
-        detected = None
-        full_rows = np.flatnonzero(m.all(axis=1))
-        if full_rows.size:
-            detected = int(full_rows[0])
-        if self.minimum is not None and self.minimum != detected:
-            raise InputError(
-                f"element {self.minimum} is not the minimum of the relation"
-            )
+        for x, ys in enumerate(up):
+            for y in ys:
+                if y != x and x in up_sets[y]:
+                    raise InputError(f"relation is not antisymmetric at ({x}, {y})")
+        for x, ys in enumerate(up):
+            reach = 0
+            for y in ys:
+                reach |= rows[y]
+            if reach & ~rows[x]:
+                z = bit_positions(reach & ~rows[x], n)[0]
+                raise InputError(f"relation is not transitive at ({x}, {z})")
+        detected = next((x for x, r in enumerate(rows) if r == 2**n - 1), None)
+        if minimum is not None and minimum != detected:
+            raise InputError(f"element {minimum} is not the minimum of the relation")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "minimum", detected)
 
     @property
     def order(self) -> int:
-        return len(self.leq)
+        return len(self.rows)
+
+    @functools.cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """The relation as a boolean matrix: ``leq[x][y]`` iff x <= y."""
+        ups = (set(bit_positions(r, self.order)) for r in self.rows)
+        return tuple(tuple(y in ys for y in range(self.order)) for ys in ups)
 
     def le(self, x: int, y: int) -> bool:
         return self.leq[x][y]
@@ -225,12 +239,8 @@ def induced_order(alg: CayleyAlgebra) -> Poset:
     to guarantee, so the failure surfaces as an internal invariant
     breach rather than an input error.
     """
-    t = alg.table
-    leq = tuple(
-        tuple(t[x][y] == 0 for y in range(alg.order)) for x in range(alg.order)
-    )
     try:
-        poset = Poset(leq)
+        poset = Poset.of(pack_bits(v == 0 for v in row) for row in alg.table)
     except InputError as exc:
         raise InternalInvariantError(
             f"induced relation is not a partial order ({exc}); input not BCK?"

@@ -25,6 +25,16 @@ def pack_bits(bits: Iterable[int]) -> int:
     return value
 
 
+def bit_positions(value: int, length: int) -> list[int]:
+    """The positions of the 1-bits of a ``length``-bit word, ascending."""
+    positions = []
+    while value:
+        top = value.bit_length()
+        positions.append(length - top)
+        value ^= 1 << (top - 1)
+    return positions
+
+
 @dataclass(frozen=True, init=False)
 class Codeword:
     """A word of ``length`` bits; bit 0 is the most significant bit of ``value``."""
@@ -67,7 +77,7 @@ class Codeword:
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, b in enumerate(self.bits) if b)
+        return frozenset(bit_positions(self.value, self.length))
 
 
 def word_leq(a: Codeword, b: Codeword) -> bool:
@@ -97,7 +107,7 @@ class BlockCode:
         length = len(words[0])
         if any(len(w) != length for w in words):
             raise InputError("codewords must share one length")
-        if len(set(words)) != len(words):
+        if len({w.value for w in words}) != len(words):
             raise InputError("duplicate codeword")
         object.__setattr__(self, "words", words)
 

@@ -14,8 +14,8 @@ from itertools import product
 from typing import Iterator
 
 from .algebra import CayleyAlgebra, Poset
-from .codes import BlockCode, Codeword, is_triangular_code, lex_sort_desc, pack_bits
-from .encode import BckFunction, _code
+from .codes import BlockCode, Codeword, bit_positions, is_triangular_code, lex_sort_desc, pack_bits
+from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
 
@@ -28,15 +28,12 @@ def algebra_from_poset(p: Poset, names: tuple[str, ...] | None = None) -> Cayley
     if p.minimum is None:
         raise InputError("poset has no minimum element")
     n = p.order
-    if p.minimum == 0:
-        order_of = list(range(n))
-    else:
-        order_of = [p.minimum] + [i for i in range(n) if i != p.minimum]
-    leq = p.leq
-    table = tuple(
-        tuple(0 if leq[order_of[x]][order_of[y]] else x for y in range(n))
-        for x in range(n)
-    )
+    order_of = [p.minimum] + [i for i in range(n) if i != p.minimum]
+    label = {e: x for x, e in enumerate(order_of)}
+    table = [[x] * n for x in range(n)]
+    for x, e in enumerate(order_of):
+        for y in bit_positions(p.rows[e], n):
+            table[x][label[y]] = 0
     return CayleyAlgebra(table, names)
 
 
@@ -61,12 +58,10 @@ def construct_from_code(code: BlockCode) -> ConstructionResult:
         raise InputError(f"not a triangular-family code: {check.reason}")
     sorted_code = lex_sort_desc(code)
     values = [w.value for w in sorted_code.words]
-    n = len(values)
-    leq = tuple(tuple(b & ~a == 0 for b in values) for a in values)
-    poset = Poset(leq)
+    poset = Poset.of(pack_bits(b & ~a == 0 for b in values) for a in values)
     if poset.minimum != 0:
         raise InternalInvariantError("all-ones word is not the order minimum")
-    names = tuple(f"w{i + 1}" for i in range(n))
+    names = tuple(f"w{i + 1}" for i in range(len(values)))
     algebra = algebra_from_poset(poset, names)
     function = BckFunction.identity(algebra)
     return ConstructionResult(algebra, sorted_code, function, poset)
@@ -84,9 +79,11 @@ class RoundTripReport:
     """How the regenerated canonical code relates to the input code.
 
     ``exact`` compares the regenerated code with the sorted input as
-    sequences.  ``self_describing`` is computed independently: it holds
-    when the sorted matrix already equals the word-order incidence
-    matrix of its own rows (entry (k, j) is 1 iff word k <= word j).
+    sequences.  ``self_describing`` holds when the sorted matrix already
+    equals the word-order incidence matrix of its own rows (entry (k, j)
+    is 1 iff word k <= word j).  Row k of that matrix is the word the
+    algebra produces for element k, so it is ``not mismatches``; that
+    exactly these codes are ``exact`` stays a claim to check.
     """
 
     exact: bool
@@ -100,23 +97,17 @@ def verify_roundtrip(code: BlockCode) -> RoundTripReport:
 
 
 def _roundtrip(result: ConstructionResult) -> RoundTripReport:
-    """The round-trip report of an algebra already built from its code."""
-    words = result.code.words
-    n = len(words)
-    table = result.algebra.table
-
-    regenerated = _code(table, range(n))
+    """The round-trip report, read off the rows of the code's word order."""
+    rows = result.poset.rows
+    n = len(rows)
+    regenerated = BlockCode(tuple(Codeword.of(r, n) for r in sorted(rows, reverse=True)))
+    mismatches = tuple(
+        RowMismatch(k, w, Codeword.of(r, n))
+        for k, (w, r) in enumerate(zip(result.code.words, rows))
+        if w.value != r
+    )
     exact = regenerated == result.code
-
-    mismatches = []
-    for k in range(n):
-        produced = Codeword.of(pack_bits(table[k][j] == 0 for j in range(n)), n)
-        if produced != words[k]:
-            mismatches.append(RowMismatch(k, words[k], produced))
-
-    values = [w.value for w in words]
-    self_describing = all(a == pack_bits(b & ~a == 0 for b in values) for a in values)
-    return RoundTripReport(exact, regenerated, tuple(mismatches), self_describing)
+    return RoundTripReport(exact, regenerated, mismatches, not mismatches)
 
 
 def iter_posets_with_minimum(n: int) -> Iterator[Poset]:
@@ -129,27 +120,17 @@ def iter_posets_with_minimum(n: int) -> Iterator[Poset]:
     if n < 1:
         raise InputError("n must be positive")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    unit = [pack_bits(j == i for j in range(n)) for i in range(n)]
     for assignment in product((0, 1, 2), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        rows = list(unit)
         for (i, j), state in zip(pairs, assignment):
             if state == 1:
-                leq[i][j] = True
+                rows[i] |= unit[j]
             elif state == 2:
-                leq[j][i] = True
-        if not _transitive(leq, n):
+                rows[j] |= unit[i]
+        try:
+            poset = Poset.of(rows)
+        except InputError:  # reflexive and antisymmetric by construction: not transitive
             continue
-        if not any(all(row) for row in leq):
-            continue
-        yield Poset(tuple(tuple(row) for row in leq))
-
-
-def _transitive(leq: list[list[bool]], n: int) -> bool:
-    for x in range(n):
-        lx = leq[x]
-        for y in range(n):
-            if lx[y]:
-                ly = leq[y]
-                for z in range(n):
-                    if ly[z] and not lx[z]:
-                        return False
-    return True
+        if poset.minimum is not None:
+            yield poset

@@ -20,6 +20,7 @@ from .encode import BckFunction
 from .errors import ParseError
 
 REPORT_VERSION = 1
+MAX_ORDER = 1024  # pointwise_function_algebra(10), the largest table the package builds
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -41,6 +42,8 @@ def parse_algebra(text: str) -> CayleyAlgebra:
         raise ParseError(f"expected the order, got {head!r}", lineno) from None
     if n < 1:
         raise ParseError("order must be positive", lineno)
+    if n > MAX_ORDER:
+        raise ParseError(f"order {n} exceeds the bound {MAX_ORDER}", lineno)
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []

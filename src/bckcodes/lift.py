@@ -17,12 +17,15 @@ from .algebra import CayleyAlgebra, Poset
 from .codes import (
     BlockCode,
     CodeMatrix,
+    Codeword,
+    bit_positions,
     enumerate_triangular_codes,
     lex_sort_desc,
+    pack_bits,
     staircase_code,
 )
 from .construct import algebra_from_poset, construct_from_code
-from .encode import BckFunction, _code
+from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
 
@@ -86,7 +89,10 @@ def lift_code(v: BlockCode) -> LiftResult:
     names = result.algebra.names
     domain = tuple(names[e] for e in column_map)
     function = BckFunction(domain, result.algebra, column_map)
-    lifted = _code(result.algebra.table, column_map)
+    # element r's word on column e is bit e of its order row r
+    ones = (set(bit_positions(r, ambient.rows)) for r in result.poset.rows)
+    words = sorted({pack_bits(e in s for e in column_map) for s in ones}, reverse=True)
+    lifted = BlockCode(tuple(Codeword.of(w, m.cols) for w in words))
 
     missing = set(sorted_v.words) - set(lifted.words)
     if missing:
@@ -111,8 +117,9 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
     Members are sorted descending by their matrices, so the staircase
     code is element 0; x*y = 0 exactly when x's matrix precedes y's in
     the row-by-row word order.  Returns the algebra together with its
-    canonical code (one word per member).  Bounded at n = 6, where the
-    family already has 1024 members.
+    canonical code (one word per member), which is the sorted rows of
+    the order.  Bounded at n = 6, where the family has 1024 members:
+    order 7 has 32,768, so its table would have 2**30 cells.
     """
     if not 1 <= n <= 6:
         raise InputError("family_algebra supports 1 <= n <= 6")
@@ -130,9 +137,8 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
                 return b & ~a == 0
         return True
 
-    leq = tuple(tuple(le(i, j) for j in range(size)) for i in range(size))
-    poset = Poset(leq)
+    poset = Poset.of(pack_bits(le(i, j) for j in range(size)) for i in range(size))
     if poset.minimum != 0:
         raise InternalInvariantError("staircase code is not the order minimum")
-    algebra = algebra_from_poset(poset)
-    return algebra, _code(algebra.table, range(size))
+    code = tuple(Codeword.of(r, size) for r in sorted(poset.rows, reverse=True))
+    return algebra_from_poset(poset), BlockCode(code)

@@ -224,6 +224,82 @@ def test_poset_validation():
         bc.Poset(transitivity_gap)
 
 
+def _relation_oracle(m):
+    """(error message or None, minimum) of a 0/1 matrix, checked by brute force.
+
+    The checks run reflexive, antisymmetric, transitive, and each names
+    the first failing pair in row-major order.
+    """
+    n = len(m)
+    r = range(n)
+    if not all(m[x][x] for x in r):
+        return "relation is not reflexive", None
+    for x in r:
+        for y in r:
+            if x != y and m[x][y] and m[y][x]:
+                return f"relation is not antisymmetric at ({x}, {y})", None
+    for x in r:
+        for z in r:
+            if not m[x][z] and any(m[x][y] and m[y][z] for y in r):
+                return f"relation is not transitive at ({x}, {z})", None
+    return None, next((x for x in r if all(m[x])), None)
+
+
+def _small_relations():
+    """Every 0/1 matrix with n <= 3 and every reflexive one with n = 4."""
+    for n in range(1, 4):
+        for cells in product((0, 1), repeat=n * n):
+            yield [cells[i * n : (i + 1) * n] for i in range(n)]
+    off = [(x, y) for x in range(4) for y in range(4) if x != y]
+    for cells in product((0, 1), repeat=len(off)):
+        m = [[int(x == y) for y in range(4)] for x in range(4)]
+        for (x, y), v in zip(off, cells):
+            m[x][y] = v
+        yield m
+
+
+def test_poset_validation_matches_a_brute_force_oracle():
+    checked = failed = 0
+    for m in _small_relations():
+        message, minimum = _relation_oracle(m)
+        checked += 1
+        if message is not None:
+            failed += 1
+            with pytest.raises(bc.InputError) as exc:
+                bc.Poset(m)
+            assert str(exc.value) == message, m
+            continue
+        poset = bc.Poset(m)
+        assert poset.minimum == minimum, m
+        assert poset.leq == tuple(tuple(bool(v) for v in row) for row in m)
+    assert checked == 2 + 2**4 + 2**9 + 2**12
+    assert 0 < failed < checked
+
+
+def test_poset_rows_are_the_codewords_of_the_order():
+    # bit y of rows[x] is x <= y, bit 0 most significant, as in Codeword
+    for m in _small_relations():
+        n = len(m)
+        rows = [int("".join(str(int(v)) for v in row), 2) for row in m]
+        message, _ = _relation_oracle(m)
+        if message is not None:
+            with pytest.raises(bc.InputError) as exc:
+                bc.Poset.of(rows)
+            assert str(exc.value) == message, m
+            continue
+        poset = bc.Poset.of(rows)
+        assert poset == bc.Poset(m)
+        assert poset.rows == tuple(rows)
+        assert [bc.Codeword.of(r, n).bits for r in poset.rows] == [
+            tuple(int(v) for v in row) for row in m
+        ]
+    for bad in ((), (4, 1), (-1, 1)):
+        with pytest.raises(bc.InputError):
+            bc.Poset.of(bad)
+    with pytest.raises(bc.InputError):
+        bc.Poset.of((0b11, 0b01), minimum=1)
+
+
 def test_names_do_not_affect_equality():
     a = bc.CayleyAlgebra([[0, 0], [1, 0]], names=("zero", "one"))
     b = bc.CayleyAlgebra([[0, 0], [1, 0]])

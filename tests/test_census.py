@@ -28,6 +28,40 @@ EXPECTED_SIMILARITY = {1: 1, 2: 1, 3: 3, 4: 19, 5: 219}
 EXPECTED_LABEL_CANONICAL = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16}
 
 
+def _labeled_posets(m):
+    """Every partial order on 0..m-1, as a frozenset of pairs x < y; no src/."""
+    pairs = [(x, y) for x in range(m) for y in range(m) if x != y]
+    found = []
+    for chosen in product((False, True), repeat=len(pairs)):
+        less = {p for p, keep in zip(pairs, chosen) if keep}
+        if any((y, x) in less for x, y in less):
+            continue
+        if any((x, z) not in less for x, y in less for w, z in less if w == y and x != z):
+            continue
+        found.append(frozenset(less))
+    return found
+
+
+def _unlabeled_count(m):
+    """Posets on m points up to isomorphism: the least relabeling of each."""
+    forms = set()
+    for less in _labeled_posets(m):
+        images = (tuple(sorted((h[x], h[y]) for x, y in less)) for h in permutations(range(m)))
+        forms.add(min(images))
+    return len(forms)
+
+
+def test_similarity_counts_are_the_poset_counts():
+    # A code is the rows of the induced order, so similarity classes are
+    # the orders on 0..n-1 with minimum 0: the labeled posets on n-1
+    # points (OEIS A001035), and label-canonical classes the unlabeled
+    # ones (OEIS A000112).
+    labeled = {n: len(_labeled_posets(n - 1)) for n in EXPECTED_SIMILARITY}
+    unlabeled = {n: _unlabeled_count(n - 1) for n in EXPECTED_LABEL_CANONICAL}
+    assert labeled == EXPECTED_SIMILARITY == {1: 1, 2: 1, 3: 3, 4: 19, 5: 219}
+    assert unlabeled == EXPECTED_LABEL_CANONICAL == {1: 1, 2: 1, 3: 2, 4: 5, 5: 16}
+
+
 def _brute_force_tables(n):
     """Every order-n table satisfying the axioms as stated, no search.
 

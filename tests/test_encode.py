@@ -106,3 +106,25 @@ def test_code_similar_is_an_equivalence_on_the_order_3_census():
 def test_code_similar_pair(alg4_commutative, alg4_from_code):
     assert bc.code_similar(alg4_commutative, alg4_from_code)
     assert not bc.code_similar(alg4_commutative, bc.CayleyAlgebra([[0, 0], [1, 0]]))
+
+
+def _code_is_the_order(alg):
+    # word r has bit j set iff r*j = 0, i.e. r <= j: the words are the order's rows
+    code = [w.value for w in bc.canonical_code(alg).words]
+    return code == sorted(bc.induced_order(alg).rows, reverse=True)
+
+
+def test_canonical_code_is_the_induced_order_of_every_small_table():
+    tables = [alg for n in range(1, 6) for alg in bc.enumerate_bck_algebras(n)]
+    assert len(tables) == 1 + 1 + 5 + 67 + 1735
+    assert all(_code_is_the_order(alg) for alg in tables)
+
+
+def test_canonical_code_is_the_order_of_every_small_poset_algebra():
+    posets = [p for n in range(1, 6) for p in bc.iter_posets_with_minimum(n)]
+    assert len(posets) == 1 + 2 * 1 + 3 * 3 + 4 * 19 + 5 * 219
+    for p in posets:
+        alg = bc.algebra_from_poset(p)
+        assert _code_is_the_order(alg), p
+        if p.minimum == 0:
+            assert bc.induced_order(alg) == p

@@ -62,6 +62,8 @@ def test_algebra_roundtrip_any_table(case):
         ("", "no data lines"),
         ("abc\n", "expected the order"),
         ("0\n", "order must be positive"),
+        ("1025\n0\n", "line 1: order 1025 exceeds the bound 1024"),
+        ("1024\n", "expected 1024 table rows, found 0"),
         ("2\n0 0\n", "expected 2 table rows"),
         ("2\n0 0\n1 0 0\n", "line 3: expected 2 entries"),
         ("2\n0 0\n1 x\n", "line 3: table entries must be integers"),
@@ -182,6 +184,13 @@ def test_cli_verify_stdin(monkeypatch, capsys):
     )
     assert main(["verify", "-"]) == 0
     assert "bck: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify", "encode"])
+def test_cli_rejects_algebras_above_the_order_bound(tmp_path, capsys, command):
+    path = _write(tmp_path, "alg.txt", "1025\n")
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == "error: line 1: order 1025 exceeds the bound 1024\n"
 
 
 def test_cli_verify_parse_error_exits_2(tmp_path, capsys):
@@ -453,6 +462,76 @@ def test_construct_and_lift_keep_the_exit_contract(command, lines, flags):
         assert err.getvalue().startswith("error:")
     else:
         assert out.getvalue()
+
+
+def _table_text(t):
+    return f"{len(t)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in t)
+
+
+_small_tables = st.integers(1, 4).flatmap(
+    lambda n: st.one_of(
+        st.sampled_from([alg.table for alg in bc.enumerate_bck_algebras(n)]),
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n
+        ),
+    )
+)
+_algebra_text = st.one_of(
+    _small_tables.map(_table_text),
+    _small_tables.map(lambda t: f"{len(t) + 1}" + _table_text(t)[1:]),  # one row short
+    st.text("0123 \n#x-", max_size=30),
+    st.sampled_from(["1025\n", "-3\n", "2\n0 0\n1 7\n", "\n"]),
+)
+_function_text = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", ""]), st.sampled_from(["0", "1", "3", "9", "x", ""])
+    ),
+    max_size=4,
+).map(lambda pairs: "".join(f"{label} {value}\n" for label, value in pairs))
+
+
+def _run_cli(argv):
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    else:  # encode reports a non-BCK table (exit 1) on stderr only
+        assert out.getvalue() or (code == 1 and err.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([["verify"], ["verify", "--json"], ["encode"], ["encode", "--json"]]),
+    _algebra_text,
+    st.one_of(st.none(), _function_text),
+)
+def test_verify_and_encode_keep_the_exit_contract(command, algebra, function):
+    with tempfile.TemporaryDirectory() as tmp:
+        alg_path = os.path.join(tmp, "alg.txt")
+        with open(alg_path, "w", encoding="utf-8") as fh:
+            fh.write(algebra)
+        argv = [command[0], alg_path, *command[1:]]
+        if command[0] == "encode" and function is not None:
+            fn_path = os.path.join(tmp, "fn.txt")
+            with open(fn_path, "w", encoding="utf-8") as fh:
+                fh.write(function)
+            argv += ["--function", fn_path]
+        _run_cli(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["--codes", "--algebras", "--family"]),
+    st.sampled_from([-2, 0, 1, 2, 3, 4, 5, 9, 12]),
+    st.sampled_from([[], ["--max-order", "-1"], ["--max-order", "4"], ["--max-order", "12"]]),
+    st.sampled_from([[], ["--json"]]),
+)
+def test_enumerate_keeps_the_exit_contract(mode, order, max_order, flags):
+    # orders 6-8 are left out: they are valid and slow (order 8 --codes
+    # prints 2,097,152 codes); orders 9 and 12 are above every bound
+    _run_cli(["enumerate", mode, "--order", str(order), *max_order, *flags])
 
 
 def test_cli_requires_a_mode():
