@@ -1,9 +1,21 @@
-"""The table search and the axiom scan.
+"""The table search, the axiom scan and the property scan.
 
 The kernels live in the submodule `pure`; this package re-exports them
 so that callers, and call tracing, go through `bckcodes._kernels`.
 """
 
-from .pure import BACKEND_NAME, axiom_witnesses, bck_candidates, table_is_bck
+from .pure import (
+    BACKEND_NAME,
+    axiom_witnesses,
+    bck_candidates,
+    property_witnesses,
+    table_is_bck,
+)
 
-__all__ = ["BACKEND_NAME", "axiom_witnesses", "bck_candidates", "table_is_bck"]
+__all__ = [
+    "BACKEND_NAME",
+    "axiom_witnesses",
+    "bck_candidates",
+    "property_witnesses",
+    "table_is_bck",
+]

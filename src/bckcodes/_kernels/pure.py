@@ -2,13 +2,17 @@
 
 `axiom_witnesses` scans a flattened Cayley table for the first
 violation of each of the five BCK axioms, `table_is_bck` answers the
-same question with a yes or no, and `bck_candidates` enumerates the
-naturally labeled Cayley tables of a given order that satisfy all five
-axioms, one or more per isomorphism class, in a fixed depth-first order.
+same question with a yes or no, `property_witnesses` finds the first
+counterexample to commutativity and to implicativity, and
+`bck_candidates` enumerates the naturally labeled Cayley tables of a
+given order that satisfy all five axioms, one or more per isomorphism
+class, in a fixed depth-first order.
 
-The axiom-1 scan is cubic in the order, so for larger tables it switches
-to a vectorised numpy walk; witnesses stay lexicographically first in
-(x, y, z) either way.
+The axiom-1 scan is cubic in the order.  From order `_NUMPY_MIN_ORDER`
+up, each scan copies the table once into an int32 array and runs on it
+with whole-table numpy operations, axiom 1 one x at a time; below that
+it walks the flat table in plain loops.  Witnesses stay
+lexicographically first in (x, y, z) either way.
 """
 
 from __future__ import annotations
@@ -34,31 +38,61 @@ def _axiom1_witness_loops(t: Sequence[int], n: int):
     return None
 
 
-def _axiom1_witness_numpy(t: Sequence[int], n: int):
-    T = np.asarray(t, dtype=np.intp).reshape(n, n)
+def _axiom1_witness_numpy(t, n: int):
+    # Flat indices are int32 too, which holds n*n for every n up to 46340.
+    T = np.asarray(t, dtype=np.int32).reshape(n, n)
+    scaled = T * n  # scaled[x, y] is where row x*y starts in the flat table
+    zy = np.ascontiguousarray(T.T)  # zy[y, z] = z*y
+    flat = T.ravel()
+    rows, inner, out = np.empty_like(T), np.empty_like(T), np.empty_like(T)
+    # mode="clip" lets take write straight into `out` (the default mode
+    # buffers); indices are in range, so nothing is clipped.
     for x in range(n):
-        a = T[x][:, None]
-        b = T[x][None, :]
-        inner = T[a, b]
-        out = T[inner, T.T]
-        bad = np.argwhere(out != 0)
-        if bad.size:
-            y, z = bad[0]
+        a = T[x]
+        np.take(scaled, a, axis=0, out=rows, mode="clip")
+        np.take(rows, a, axis=1, out=inner, mode="clip")  # (x*y)*(x*z), scaled
+        inner += zy
+        np.take(flat, inner, out=out, mode="clip")  # ((x*y)*(x*z))*(z*y)
+        if out.any():
+            y, z = np.argwhere(out)[0]
             return (x, int(y), int(z))
     return None
+
+
+def _first(mask):
+    """Index tuple of the first True in row-major order, or None."""
+    hits = np.flatnonzero(mask)
+    if not hits.size:
+        return None
+    return tuple(int(i) for i in np.unravel_index(hits[0], mask.shape))
+
+
+def _axiom_witnesses_numpy(t: Sequence[int], n: int):
+    T = np.asarray(t, dtype=np.int32).reshape(n, n)
+    left = np.take_along_axis(T, T, axis=1)  # x*(x*y)
+    zero = T == 0
+    distinct_zero = zero & zero.T
+    np.fill_diagonal(distinct_zero, False)
+    return (
+        _axiom1_witness_numpy(T, n),
+        _first(np.take_along_axis(T, left, axis=0) != 0),
+        _first(T.diagonal() != 0),
+        _first(distinct_zero),
+        _first(T[0] != 0),
+    )
 
 
 def axiom_witnesses(flat: Sequence[int], n: int):
     """First violation of each axiom, or None per axiom when it holds.
 
     Returns a 5-tuple ordered axiom 1 through 5; entries are index
-    tuples shaped (x, y, z), (x, y), (x,), (x, y), (x,).
+    tuples shaped (x, y, z), (x, y), (x,), (x, y), (x,).  Entries of
+    ``flat`` must lie in 0..n-1.
     """
-    t = flat
     if n >= _NUMPY_MIN_ORDER:
-        w1 = _axiom1_witness_numpy(t, n)
-    else:
-        w1 = _axiom1_witness_loops(t, n)
+        return _axiom_witnesses_numpy(flat, n)
+    t = flat
+    w1 = _axiom1_witness_loops(t, n)
 
     w2 = None
     for x in range(n):
@@ -93,6 +127,31 @@ def axiom_witnesses(flat: Sequence[int], n: int):
             break
 
     return (w1, w2, w3, w4, w5)
+
+
+def property_witnesses(flat: Sequence[int], n: int):
+    """First (x, y) breaking commutativity and implicativity, or None each.
+
+    Commutative: x*(x*y) = y*(y*x).  Implicative: x*(y*x) = x.  The
+    scan does not check the axioms; callers decide what the answer
+    means on a table that is not BCK.
+    """
+    if n >= _NUMPY_MIN_ORDER:
+        T = np.asarray(flat, dtype=np.int32).reshape(n, n)
+        left = np.take_along_axis(T, T, axis=1)  # x*(x*y)
+        back = np.take_along_axis(T, T.T, axis=1)  # x*(y*x)
+        return (
+            _first(left != left.T),
+            _first(back != np.arange(n)[:, None]),
+        )
+    t = flat
+    cells = [(x, y) for x in range(n) for y in range(n)]
+    comm = next(
+        ((x, y) for x, y in cells if t[x * n + t[x * n + y]] != t[y * n + t[y * n + x]]),
+        None,
+    )
+    impl = next(((x, y) for x, y in cells if t[x * n + t[y * n + x]] != x), None)
+    return (comm, impl)
 
 
 def table_is_bck(flat: Sequence[int], n: int) -> bool:

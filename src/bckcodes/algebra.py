@@ -37,16 +37,16 @@ class CayleyAlgebra:
     names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.table)
+        rows = tuple(tuple(map(int, row)) for row in self.table)
         n = len(rows)
         if n == 0:
             raise InputError("empty Cayley table")
         for row in rows:
             if len(row) != n:
                 raise InputError("Cayley table must be square")
-            for v in row:
-                if not 0 <= v < n:
-                    raise InputError(f"table entry {v} outside 0..{n - 1}")
+            if min(row) < 0 or max(row) >= n:
+                v = next(v for v in row if not 0 <= v < n)
+                raise InputError(f"table entry {v} outside 0..{n - 1}")
         object.__setattr__(self, "table", rows)
         if self.names is not None:
             names = tuple(str(s) for s in self.names)
@@ -212,23 +212,15 @@ def _require_bck(alg: CayleyAlgebra, what: str) -> None:
 def is_commutative(alg: CayleyAlgebra) -> PropertyCheck:
     """Does x*(x*y) = y*(y*x) hold everywhere?  Needs a BCK input."""
     _require_bck(alg, "is_commutative")
-    t = alg.table
-    for x in range(alg.order):
-        for y in range(alg.order):
-            if t[x][t[x][y]] != t[y][t[y][x]]:
-                return PropertyCheck(False, (x, y))
-    return PropertyCheck(True)
+    w = _kernels.property_witnesses(alg.flat(), alg.order)[0]
+    return PropertyCheck(w is None, w)
 
 
 def is_implicative(alg: CayleyAlgebra) -> PropertyCheck:
     """Does x*(y*x) = x hold everywhere?  Needs a BCK input."""
     _require_bck(alg, "is_implicative")
-    t = alg.table
-    for x in range(alg.order):
-        for y in range(alg.order):
-            if t[x][t[y][x]] != x:
-                return PropertyCheck(False, (x, y))
-    return PropertyCheck(True)
+    w = _kernels.property_witnesses(alg.flat(), alg.order)[1]
+    return PropertyCheck(w is None, w)
 
 
 def induced_order(alg: CayleyAlgebra) -> Poset:

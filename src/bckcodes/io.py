@@ -52,10 +52,10 @@ def parse_algebra(text: str) -> CayleyAlgebra:
         if len(parts) != n:
             raise ParseError(f"expected {n} entries, found {len(parts)}", lineno)
         try:
-            row = tuple(int(p) for p in parts)
+            row = tuple(map(int, parts))
         except ValueError:
             raise ParseError("table entries must be integers", lineno) from None
-        if any(not 0 <= v < n for v in row):
+        if min(row) < 0 or max(row) >= n:
             raise ParseError(f"table entry outside 0..{n - 1}", lineno)
         rows.append(row)
     return CayleyAlgebra(tuple(rows))
@@ -91,7 +91,7 @@ def parse_code(text: str) -> BlockCode:
         if line in seen:
             raise ParseError(f"duplicate codeword {line}", lineno)
         seen.add(line)
-        words.append(Codeword.from_string(line))
+        words.append(Codeword.of(int(line, 2), len(line)))
     if not words:
         raise ParseError("no codewords in code input")
     return BlockCode(tuple(words))

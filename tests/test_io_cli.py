@@ -3,6 +3,7 @@ import importlib
 import io as stdio
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 import bckcodes as bc
 from bckcodes import cli, construct, io
+from bckcodes._kernels import pure
 from bckcodes.cli import main
 import reference_data as rd
+from test_kernels import _relabeled
 
 ALG4_TEXT = "4\n0 0 0 0\n1 0 0 1\n2 1 0 2\n3 3 3 0\n"
 
@@ -176,6 +179,34 @@ def test_cli_verify_failure_exits_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "axiom 3 [x*x = 0]: fails at x=1" in out
     assert "bck: no" in out
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_cli_verify_prints_the_same_on_both_scan_paths(tmp_path, monkeypatch, perturbed):
+    # an order-64 table takes the array scans; forcing the loop scans
+    # must not change a byte of either output format or the exit code
+    rng = random.Random(64)
+    n = 64
+    flat = _relabeled(bc.pointwise_function_algebra(6).table, rng)
+    if perturbed:
+        flat[rng.randrange(n * n)] = rng.randrange(n)
+    text = "".join(" ".join(map(str, flat[x * n : x * n + n])) + "\n" for x in range(n))
+    path = _write(tmp_path, "alg.txt", f"{n}\n{text}")
+
+    def run():
+        results = []
+        for flags in ([], ["--json"]):
+            bc.check_axioms.cache_clear()
+            out = stdio.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", path, *flags])
+            results.append((code, out.getvalue()))
+        return results
+
+    arrays = run()
+    monkeypatch.setattr(pure, "_NUMPY_MIN_ORDER", 10**9)
+    assert run() == arrays
+    assert [code for code, _ in arrays] == [int(perturbed)] * 2
 
 
 def test_cli_verify_stdin(monkeypatch, capsys):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import bckcodes as bc
 from bckcodes._kernels import pure
 from test_algebra import brute_axiom_holds
+from test_construct import chain_poset
 
 
 def _random_table(rng, n):
@@ -36,6 +38,73 @@ def test_axiom1_numpy_walk_matches_plain_loops():
             assert pure._axiom1_witness_numpy(t, n) == pure._axiom1_witness_loops(
                 t, n
             )
+
+
+def _relabeled(table, rng):
+    """The table under a seeded relabeling that fixes 0, as flat cells."""
+    n = len(table)
+    tail = list(range(1, n))
+    rng.shuffle(tail)
+    h = [0] + tail
+    flat = [0] * (n * n)
+    for x in range(n):
+        for y in range(n):
+            flat[h[x] * n + h[y]] = h[table[x][y]]
+    return flat
+
+
+def _near_valid_cases():
+    """BCK tables of order 32 and up, and copies with a few cells edited.
+
+    Relabeled indicator algebras are commutative and implicative, so the
+    40-chain, which is neither, is there for the property scan.  Random
+    edits are seen by axiom 1 at a small x; setting top*1 = top instead
+    is seen only by the instances with x = top, wherever the relabeling
+    puts it.
+    """
+    rng = random.Random(7)
+    chain = bc.algebra_from_poset(chain_poset(40)).table
+    cases = [(40, [v for row in chain for v in row])]
+    for k in (5, 6):
+        n = 1 << k
+        table = bc.pointwise_function_algebra(k).table
+        base = _relabeled(table, rng)
+        for edits in range(4):
+            t = list(base)
+            for _ in range(edits):
+                t[rng.randrange(n * n)] = rng.randrange(n)
+            cases.append((n, t))
+        top = n - 1
+        edited = [list(row) for row in table]
+        edited[top][1] = top
+        cases.append((n, _relabeled(edited, rng)))
+    return cases
+
+
+def test_array_scans_match_plain_loops_on_near_valid_tables(monkeypatch):
+    cases = _near_valid_cases()
+    arrays = [
+        (pure.axiom_witnesses(t, n), pure.property_witnesses(t, n)) for n, t in cases
+    ]
+    monkeypatch.setattr(pure, "_NUMPY_MIN_ORDER", 10**9)
+    loops = [
+        (pure.axiom_witnesses(t, n), pure.property_witnesses(t, n)) for n, t in cases
+    ]
+    assert arrays == loops
+    for (n, t), (axioms, _) in zip(cases, arrays):
+        table = [t[x * n : x * n + n] for x in range(n)]
+        for axiom, w in enumerate(axioms, start=1):
+            assert (w is None) == brute_axiom_holds(table, axiom)
+    # the cases reach every branch: tables that pass, an axiom-1 witness
+    # deep in the table, and both answers of each property scan
+    assert any(all(w is None for w in axioms) for axioms, _ in arrays)
+    assert any(
+        axioms[0] is not None and axioms[0][0] >= n // 2
+        for (n, _), (axioms, _) in zip(cases, arrays)
+    )
+    bck_props = [props for axioms, props in arrays if axioms == (None,) * 5]
+    for i in (0, 1):
+        assert {p[i] is None for p in bck_props} == {True, False}
 
 
 def test_pure_witnesses_match_is_bck():
