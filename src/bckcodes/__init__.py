@@ -30,12 +30,13 @@ from .census import (
 )
 from .codes import (
     BlockCode,
-    CodeMatrix,
     Codeword,
     Comparison,
     MembershipCheck,
     compare_codes_lex,
     compare_codes_word,
+    embed_matrix,
+    ensure_all_ones,
     enumerate_triangular_codes,
     is_triangular_code,
     lex_sort_desc,
@@ -69,8 +70,6 @@ from .errors import (
 )
 from .lift import (
     LiftResult,
-    embed_matrix,
-    ensure_all_ones,
     family_algebra,
     lift_code,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "CayleyAlgebra",
     "CensusReport",
     "ClassEntry",
-    "CodeMatrix",
     "Codeword",
     "Comparison",
     "ConstructionResult",

@@ -194,10 +194,8 @@ def cmd_lift(args) -> int:
     if args.json:
         payload = {
             "source": list(result.source_code.strings()),
-            "ambient_order": result.ambient.rows,
-            "ambient_matrix": [
-                "".join(map(str, row)) for row in result.ambient.entries
-            ],
+            "ambient_order": len(result.ambient),
+            "ambient_matrix": list(result.ambient.strings()),
             "column_map": list(result.column_map),
             "domain": list(result.domain),
             "lifted": list(result.lifted_code.strings()),
@@ -206,10 +204,10 @@ def cmd_lift(args) -> int:
     else:
         lines = [
             f"# lifted {len(result.source_code)} codewords of length "
-            f"{result.source_code.length} into order {result.ambient.rows}",
+            f"{result.source_code.length} into order {len(result.ambient)}",
             "# ambient matrix:",
         ]
-        lines.extend("#   " + "".join(map(str, row)) for row in result.ambient.entries)
+        lines.extend("#   " + row for row in result.ambient.strings())
         lines.append(
             "# columns: "
             + " ".join(f"{j}->{e}" for j, e in enumerate(result.column_map))

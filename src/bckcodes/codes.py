@@ -1,4 +1,5 @@
-"""Binary block codes, their matrices, and the orders used on them.
+"""Binary block codes, their matrices (the words as rows, in order), and
+the orders used on them.
 
 Codewords carry a partial order: u <= v here means every 1-bit of v is
 also a 1-bit of u, so the all-ones word is the minimum.  On the family
@@ -129,54 +130,6 @@ class BlockCode:
         return iter(self.words)
 
 
-@dataclass(frozen=True)
-class CodeMatrix:
-    """0/1 matrix whose row i is the i-th codeword of some code."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        entries = tuple(tuple(int(v) for v in row) for row in self.entries)
-        if not entries or not entries[0]:
-            raise InputError("empty matrix")
-        width = len(entries[0])
-        for row in entries:
-            if len(row) != width:
-                raise InputError("ragged matrix")
-            if any(v not in (0, 1) for v in row):
-                raise InputError("matrix entries must be 0 or 1")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_code(cls, code: BlockCode) -> "CodeMatrix":
-        return cls(tuple(w.bits for w in code.words))
-
-    def to_code(self) -> BlockCode:
-        return BlockCode(tuple(Codeword(row) for row in self.entries))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    @property
-    def is_upper_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0 for i in range(self.rows) for j in range(min(i, self.cols))
-        )
-
-    @property
-    def has_unit_diagonal(self) -> bool:
-        return self.is_square and all(self.entries[i][i] == 1 for i in range(self.rows))
-
-
 def lex_sort_desc(code: BlockCode) -> BlockCode:
     """The same code with words in descending lexicographic order."""
     return BlockCode(tuple(sorted(code.words, key=lambda w: w.value, reverse=True)))
@@ -205,13 +158,43 @@ def is_triangular_code(code: BlockCode) -> MembershipCheck:
     if values[0] != (1 << n) - 1:
         return MembershipCheck(False, "all-ones word missing")
     for i, v in enumerate(values):
-        if v >> (n - i):
-            return MembershipCheck(
-                False, f"sorted row {i} has a 1 left of the diagonal"
-            )
-        if not v >> (n - 1 - i) & 1:
-            return MembershipCheck(False, f"sorted row {i} has no 1 on the diagonal")
+        defect = _row_defect(v, i, n)
+        if defect:
+            return MembershipCheck(False, f"sorted row {i} {defect}")
     return MembershipCheck(True)
+
+
+def _row_defect(value: int, i: int, n: int) -> str | None:
+    """Why ``value`` cannot be row i of an n-column unit upper-triangular
+    matrix (a 1 left of column i, or no 1 at column i); None if it can."""
+    if value >> (n - i):
+        return "has a 1 left of the diagonal"
+    if not value >> (n - 1 - i) & 1:
+        return "has no 1 on the diagonal"
+    return None
+
+
+def embed_matrix(m: BlockCode) -> BlockCode:
+    """The rows of [[I, A], [0, I]], where A's rows are m's lex-descending words."""
+    values = [w.value for w in m.words]
+    if any(a < b for a, b in zip(values, values[1:])):
+        raise InputError("matrix rows must be in descending lexicographic order")
+    size = len(values) + m.length
+    rows = [1 << (size - 1 - i) | v for i, v in enumerate(values)]
+    rows += (1 << j for j in reversed(range(m.length)))
+    return BlockCode(tuple(Codeword.of(r, size) for r in rows))
+
+
+def ensure_all_ones(b: BlockCode) -> BlockCode:
+    """Prepend an all-ones row (and a zero column) to the rows of a square unit
+    upper-triangular matrix; ``b`` itself when its row 0 is all ones."""
+    n = b.length
+    if len(b) != n or any(_row_defect(w.value, i, n) for i, w in enumerate(b.words)):
+        raise InputError("expected a square unit upper-triangular matrix")
+    if b.words[0].value == (1 << n) - 1:
+        return b
+    rows = [(1 << n + 1) - 1, *(w.value for w in b.words)]
+    return BlockCode(tuple(Codeword.of(r, n + 1) for r in rows))
 
 
 def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockCode]:

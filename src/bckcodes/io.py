@@ -83,6 +83,8 @@ def parse_code(text: str) -> BlockCode:
             raise ParseError(f"codeword may only contain 0 and 1: {line!r}", lineno)
         if length is None:
             length = len(line)
+            if length > MAX_ORDER:
+                raise ParseError(f"codeword length {length} exceeds the bound {MAX_ORDER}", lineno)
         elif len(line) != length:
             raise ParseError(
                 f"codeword length {len(line)} differs from first length {length}",
@@ -108,6 +110,7 @@ def render_code(code: BlockCode, header: str | None = None) -> str:
 def parse_function(text: str, alg: CayleyAlgebra) -> BckFunction:
     labels = []
     values = []
+    seen = set()
     for lineno, line in _data_lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -119,8 +122,9 @@ def parse_function(text: str, alg: CayleyAlgebra) -> BckFunction:
             raise ParseError(f"value must be an integer, got {value!r}", lineno) from None
         if not 0 <= v < alg.order:
             raise ParseError(f"value {v} outside 0..{alg.order - 1}", lineno)
-        if label in labels:
+        if label in seen:
             raise ParseError(f"duplicate label {label!r}", lineno)
+        seen.add(label)
         labels.append(label)
         values.append(v)
     if not labels:

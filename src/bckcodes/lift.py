@@ -1,12 +1,11 @@
 """Embedding arbitrary codes into the triangular family, and the
 algebra carried by the whole family of a given order.
 
-`embed_matrix` widens an n x m code matrix A into the square block
-matrix [[I_n, A], [0, I_m]], which is always unit upper triangular with
-distinct, lex-descending rows.  `ensure_all_ones` completes such a
-matrix with an all-ones first row when needed, and `lift_code` chains
-the two, rebuilds the algebra of the completed matrix, and reads the
-original code back off the columns that carried A.
+`lift_code` takes the sorted code's words as the rows of an n x m
+matrix A, widens it with `embed_matrix` into the square block matrix
+[[I_n, A], [0, I_m]], completes that with `ensure_all_ones` when it
+lacks an all-ones first row, rebuilds the algebra of the completed
+code, and reads the original code back off the columns that carried A.
 """
 
 from __future__ import annotations
@@ -16,9 +15,10 @@ from dataclasses import dataclass
 from .algebra import CayleyAlgebra, Poset
 from .codes import (
     BlockCode,
-    CodeMatrix,
     Codeword,
     bit_positions,
+    embed_matrix,
+    ensure_all_ones,
     enumerate_triangular_codes,
     lex_sort_desc,
     pack_bits,
@@ -27,34 +27,7 @@ from .codes import (
 from .construct import algebra_from_poset, construct_from_code
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
-
-
-def embed_matrix(m: CodeMatrix) -> CodeMatrix:
-    """Square embedding [[I, A], [0, I]] of a lex-descending matrix."""
-    for i in range(m.rows - 1):
-        if m.entries[i] < m.entries[i + 1]:
-            raise InputError("matrix rows must be in descending lexicographic order")
-    n, w = m.rows, m.cols
-    top = [
-        tuple(1 if j == i else 0 for j in range(n)) + m.entries[i] for i in range(n)
-    ]
-    bottom = [
-        tuple(0 for _ in range(n)) + tuple(1 if j == i else 0 for j in range(w))
-        for i in range(w)
-    ]
-    return CodeMatrix(tuple(top + bottom))
-
-
-def ensure_all_ones(b: CodeMatrix) -> CodeMatrix:
-    """Prepend an all-ones row (and matching zero column) when missing."""
-    if not b.is_square or not b.is_upper_triangular or not b.has_unit_diagonal:
-        raise InputError("expected a square unit upper-triangular matrix")
-    if all(v == 1 for v in b.entries[0]):
-        return b
-    q = b.rows
-    rows = [tuple(1 for _ in range(q + 1))]
-    rows.extend((0,) + row for row in b.entries)
-    return CodeMatrix(tuple(rows))
+from .io import MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -73,26 +46,30 @@ class LiftResult:
     lifted_code: BlockCode
     column_map: tuple[int, ...]
     source_code: BlockCode
-    embedded: CodeMatrix
-    ambient: CodeMatrix
+    embedded: BlockCode
+    ambient: BlockCode
 
 
 def lift_code(v: BlockCode) -> LiftResult:
+    """Lift ``v`` into the triangular family; `InputError`, before any
+    matrix is built, when the ambient order would exceed `io.MAX_ORDER`."""
+    # the rows of [[I, A], [0, I]], plus an all-ones row unless A is one all-ones word
+    order = len(v) + v.length + (len(v) > 1 or "0" in str(v.words[0]))
+    if order > MAX_ORDER:
+        raise InputError(f"ambient order {order} exceeds the bound {MAX_ORDER}")
     sorted_v = lex_sort_desc(v)
-    m = CodeMatrix.from_code(sorted_v)
-    embedded = embed_matrix(m)
+    embedded = embed_matrix(sorted_v)
     ambient = ensure_all_ones(embedded)
-    shift = ambient.rows - embedded.rows
 
-    result = construct_from_code(ambient.to_code())
-    column_map = tuple(shift + m.rows + j for j in range(m.cols))
+    result = construct_from_code(ambient)
+    column_map = tuple(range(order - sorted_v.length, order))
     names = result.algebra.names
     domain = tuple(names[e] for e in column_map)
     function = BckFunction(domain, result.algebra, column_map)
     # element r's word on column e is bit e of its order row r
-    ones = (set(bit_positions(r, ambient.rows)) for r in result.poset.rows)
+    ones = (set(bit_positions(r, order)) for r in result.poset.rows)
     words = sorted({pack_bits(e in s for e in column_map) for s in ones}, reverse=True)
-    lifted = BlockCode(tuple(Codeword.of(w, m.cols) for w in words))
+    lifted = BlockCode(tuple(Codeword.of(w, sorted_v.length) for w in words))
 
     missing = set(sorted_v.words) - set(lifted.words)
     if missing:

@@ -72,10 +72,8 @@ def test_criterion_04_lift_of_the_worked_code():
     code = bc.BlockCode.from_strings(rd.LIFT_INPUT)
     result = bc.lift_code(code)
 
-    embedded = tuple("".join(map(str, row)) for row in result.embedded.entries)
-    ambient = tuple("".join(map(str, row)) for row in result.ambient.entries)
-    assert embedded == rd.LIFT_EMBEDDED
-    assert ambient == rd.LIFT_COMPLETED
+    assert result.embedded.strings() == rd.LIFT_EMBEDDED
+    assert result.ambient.strings() == rd.LIFT_COMPLETED
 
     expected = {
         "11111", "11110", "10011", "10010", "00000",
@@ -156,11 +154,12 @@ def test_criterion_08_randomized_lifts_contain_their_source():
         )
         result = bc.lift_code(code)
         for matrix in (result.embedded, result.ambient):
-            assert matrix.is_square
-            assert matrix.is_upper_triangular
-            assert matrix.has_unit_diagonal
-        assert all(v == 1 for v in result.ambient.entries[0])
-        assert bc.is_triangular_code(result.ambient.to_code()).ok
+            rows = [w.bits for w in matrix.words]
+            assert len(rows) == len(rows[0])  # square
+            assert all(not any(row[:i]) for i, row in enumerate(rows))  # upper triangular
+            assert all(row[i] == 1 for i, row in enumerate(rows))  # unit diagonal
+        assert all(v == 1 for v in result.ambient.words[0].bits)
+        assert bc.is_triangular_code(result.ambient).ok
         assert set(result.source_code.words) <= set(result.lifted_code.words)
         assert result.lifted_code == bc.generate_code(result.function)
     _finish(8, started, 60.0, "200 seeded random codes embed with all predicates")

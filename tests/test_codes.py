@@ -72,18 +72,6 @@ def test_lex_sort_desc_properties(bit_rows):
     assert bc.lex_sort_desc(bc.BlockCode(tuple(shuffled))) == sorted_code
 
 
-def test_code_matrix_roundtrip(code4):
-    m = bc.CodeMatrix.from_code(code4)
-    assert m.rows == m.cols == 4
-    assert m.to_code() == code4
-    assert m.is_upper_triangular
-    assert m.has_unit_diagonal
-    with pytest.raises(bc.InputError):
-        bc.CodeMatrix(((0, 1), (1,)))
-    with pytest.raises(bc.InputError):
-        bc.CodeMatrix(((0, 2),))
-
-
 def test_triangular_membership_reasons():
     ok = bc.is_triangular_code(bc.BlockCode.from_strings(["1111", "0110", "0010", "0001"]))
     assert ok
@@ -238,18 +226,18 @@ def test_codeword_of_rejects_values_that_do_not_fit(value, length):
 
 
 def _reference_is_triangular(code):
-    """Membership read off the CodeMatrix of the lex-descending code."""
+    """Membership read off the bit matrix of the lex-descending code."""
     n = code.length
     if len(code) != n:
         return False, f"not square: {len(code)} words of length {n}"
     if all(0 in w.bits for w in code.words):
         return False, "all-ones word missing"
-    m = bc.CodeMatrix.from_code(bc.lex_sort_desc(code))
+    m = [w.bits for w in bc.lex_sort_desc(code).words]
     for i in range(n):
         for j in range(i):
-            if m.entries[i][j]:
+            if m[i][j]:
                 return False, f"sorted row {i} has a 1 left of the diagonal"
-        if not m.entries[i][i]:
+        if not m[i][i]:
             return False, f"sorted row {i} has no 1 on the diagonal"
     return True, None
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -121,6 +122,25 @@ def test_parse_function_errors(text, fragment, alg4_commutative):
     with pytest.raises(bc.ParseError) as exc:
         io.parse_function(text, alg4_commutative)
     assert fragment in str(exc.value)
+
+
+def test_parse_function_finds_a_late_duplicate_label_quickly(alg4_commutative):
+    # 100,000 labels; the duplicate is the last line, so a linear scan
+    # per label would compare about 5 * 10**9 pairs
+    text = "".join(f"l{i} 0\n" for i in range(100_000)) + "l0 1\n"
+
+    def timeout(signum, frame):
+        raise TimeoutError("parse_function took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(bc.ParseError) as exc:
+            io.parse_function(text, alg4_commutative)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == "line 100001: duplicate label 'l0'"
 
 
 def test_report_roundtrip():
@@ -345,6 +365,25 @@ def test_cli_construct_rejects_non_member(tmp_path, capsys):
     path = _write(tmp_path, "code.txt", "10\n01\n")
     assert main(["construct", path]) == 2
     assert "not a triangular-family code" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,words,message",
+    [
+        (
+            "construct",
+            ["0" * k + "1" * (1025 - k) for k in range(1025)],
+            "line 1: codeword length 1025 exceeds the bound 1024",
+        ),
+        ("lift", [format(v, "0512b") for v in range(513)], "ambient order 1026 exceeds the bound 1024"),
+    ],
+    ids=["construct", "lift"],
+)
+def test_cli_construct_and_lift_reject_orders_above_the_bound(tmp_path, capsys, command, words, message):
+    path = _write(tmp_path, "code.txt", "\n".join(words) + "\n")
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_cli_lift_text(tmp_path, capsys):

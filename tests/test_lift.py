@@ -6,20 +6,24 @@ import bckcodes as bc
 import reference_data as rd
 
 
-def _matrix_strings(m: bc.CodeMatrix):
-    return tuple("".join(map(str, row)) for row in m.entries)
+def _is_unit_upper_triangular(code):
+    """Square, no 1 left of the diagonal, ones on it: read off the bits, row by row."""
+    rows = [w.bits for w in code.words]
+    return len(rows) == len(rows[0]) and all(
+        not any(row[:i]) and row[i] for i, row in enumerate(rows)
+    )
 
 
 def test_embed_reference_matrix():
     code = bc.lex_sort_desc(bc.BlockCode.from_strings(rd.LIFT_INPUT))
     assert code.strings() == rd.LIFT_INPUT_SORTED
-    embedded = bc.embed_matrix(bc.CodeMatrix.from_code(code))
-    assert _matrix_strings(embedded) == rd.LIFT_EMBEDDED
+    embedded = bc.embed_matrix(code)
+    assert embedded.strings() == rd.LIFT_EMBEDDED
 
 
 def test_embed_requires_sorted_rows():
-    unsorted = bc.CodeMatrix(((0, 1), (1, 0)))
-    with pytest.raises(bc.InputError):
+    unsorted = bc.BlockCode.from_strings(["01", "10"])
+    with pytest.raises(bc.InputError, match="descending lexicographic order"):
         bc.embed_matrix(unsorted)
 
 
@@ -32,43 +36,43 @@ def test_embed_structure_on_random_matrices():
             {tuple(rng.randrange(2) for _ in range(cols)) for _ in range(rows)},
             reverse=True,
         )
-        m = bc.CodeMatrix(tuple(entries))
+        m = bc.BlockCode(tuple(bc.Codeword(row) for row in entries))
         b = bc.embed_matrix(m)
-        n = m.rows
-        assert b.rows == b.cols == n + cols
-        assert b.is_upper_triangular
-        assert b.has_unit_diagonal
+        n = len(m)
+        assert len(b) == b.length == n + cols
+        assert _is_unit_upper_triangular(b)
         # original block sits in the upper right
         for i in range(n):
-            assert b.entries[i][n:] == m.entries[i]
+            assert b.words[i].bits[n:] == entries[i]
         # rows strictly descending, hence distinct
-        for i in range(b.rows - 1):
-            assert b.entries[i] > b.entries[i + 1]
+        for i in range(len(b) - 1):
+            assert b.words[i].bits > b.words[i + 1].bits
 
 
 def test_completion_reference_matrix():
-    embedded = bc.CodeMatrix(tuple(tuple(int(c) for c in s) for s in rd.LIFT_EMBEDDED))
+    embedded = bc.BlockCode.from_strings(rd.LIFT_EMBEDDED)
     completed = bc.ensure_all_ones(embedded)
-    assert _matrix_strings(completed) == rd.LIFT_COMPLETED
+    assert completed.strings() == rd.LIFT_COMPLETED
 
 
 def test_completion_is_a_no_op_when_all_ones_row_exists():
-    m = bc.CodeMatrix.from_code(bc.staircase_code(4))
+    m = bc.staircase_code(4)
     assert bc.ensure_all_ones(m) is m
 
 
 def test_completion_validates_shape():
-    with pytest.raises(bc.InputError):
-        bc.ensure_all_ones(bc.CodeMatrix(((0, 1), (1, 0))))
-    with pytest.raises(bc.InputError):
-        bc.ensure_all_ones(bc.CodeMatrix(((1, 0, 1),)))
+    message = "expected a square unit upper-triangular matrix"
+    with pytest.raises(bc.InputError, match=message):
+        bc.ensure_all_ones(bc.BlockCode.from_strings(["01", "10"]))
+    with pytest.raises(bc.InputError, match=message):
+        bc.ensure_all_ones(bc.BlockCode.from_strings(["101"]))
 
 
 def test_lift_reference_code():
     result = bc.lift_code(bc.BlockCode.from_strings(rd.LIFT_INPUT))
     assert result.source_code.strings() == rd.LIFT_INPUT_SORTED
-    assert _matrix_strings(result.embedded) == rd.LIFT_EMBEDDED
-    assert _matrix_strings(result.ambient) == rd.LIFT_COMPLETED
+    assert result.embedded.strings() == rd.LIFT_EMBEDDED
+    assert result.ambient.strings() == rd.LIFT_COMPLETED
     assert result.column_map == rd.LIFT_COLUMN_MAP
     assert result.domain == ("w6", "w7", "w8", "w9", "w10")
     assert result.lifted_code.strings() == rd.LIFT_OUTPUT
@@ -78,8 +82,18 @@ def test_lift_reference_code():
 
 def test_lift_code_already_in_the_family():
     result = bc.lift_code(bc.staircase_code(3))
-    assert result.ambient.rows == 7
+    assert len(result.ambient) == 7
     assert set(bc.staircase_code(3).words) <= set(result.lifted_code.words)
+
+
+@pytest.mark.parametrize(
+    "words,order",
+    [(["1" * 1024], 1025), (["1" * 1022 + "0"], 1025), (["1" * 1022, "0" * 1022], 1025)],
+)
+def test_lift_rejects_ambient_orders_above_the_bound(words, order):
+    # a single all-ones word needs no completion row; every other code does
+    with pytest.raises(bc.InputError, match=f"ambient order {order} exceeds the bound 1024"):
+        bc.lift_code(bc.BlockCode.from_strings(words))
 
 
 def test_lift_random_codes_contain_their_source():
@@ -97,12 +111,10 @@ def test_lift_random_codes_contain_their_source():
             )
         )
         result = bc.lift_code(code)
-        assert result.embedded.is_upper_triangular
-        assert result.embedded.has_unit_diagonal
-        assert result.ambient.is_upper_triangular
-        assert result.ambient.has_unit_diagonal
-        assert all(v == 1 for v in result.ambient.entries[0])
-        assert bc.is_triangular_code(result.ambient.to_code())
+        assert _is_unit_upper_triangular(result.embedded)
+        assert _is_unit_upper_triangular(result.ambient)
+        assert all(v == 1 for v in result.ambient.words[0].bits)
+        assert bc.is_triangular_code(result.ambient)
         assert set(result.source_code.words) <= set(result.lifted_code.words)
         assert result.lifted_code.length == code.length
 
