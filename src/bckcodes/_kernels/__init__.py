@@ -8,7 +8,8 @@ from .pure import (
     BACKEND_NAME,
     axiom_witnesses,
     bck_candidates,
-    property_witnesses,
+    commutative_witness,
+    implicative_witness,
     table_is_bck,
 )
 
@@ -16,6 +17,7 @@ __all__ = [
     "BACKEND_NAME",
     "axiom_witnesses",
     "bck_candidates",
-    "property_witnesses",
+    "commutative_witness",
+    "implicative_witness",
     "table_is_bck",
 ]

@@ -58,16 +58,10 @@ class CayleyAlgebra:
     def order(self) -> int:
         return len(self.table)
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def element_name(self, x: int) -> str:
         if self.names is not None:
             return self.names[x]
         return str(x)
-
-    def flat(self) -> list[int]:
-        return [v for row in self.table for v in row]
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,8 @@ class Poset:
 @functools.lru_cache(maxsize=256)
 def check_axioms(alg: CayleyAlgebra) -> AxiomReport:
     """Scan the whole table for violations of the five axioms."""
-    n = alg.order
     t = alg.table
-    w1, w2, w3, w4, w5 = _kernels.axiom_witnesses(alg.flat(), n)
+    w1, w2, w3, w4, w5 = _kernels.axiom_witnesses(t)
 
     def ax1_eval(w):
         x, y, z = w
@@ -212,14 +205,14 @@ def _require_bck(alg: CayleyAlgebra, what: str) -> None:
 def is_commutative(alg: CayleyAlgebra) -> PropertyCheck:
     """Does x*(x*y) = y*(y*x) hold everywhere?  Needs a BCK input."""
     _require_bck(alg, "is_commutative")
-    w = _kernels.property_witnesses(alg.flat(), alg.order)[0]
+    w = _kernels.commutative_witness(alg.table)
     return PropertyCheck(w is None, w)
 
 
 def is_implicative(alg: CayleyAlgebra) -> PropertyCheck:
     """Does x*(y*x) = x hold everywhere?  Needs a BCK input."""
     _require_bck(alg, "is_implicative")
-    w = _kernels.property_witnesses(alg.flat(), alg.order)[1]
+    w = _kernels.implicative_witness(alg.table)
     return PropertyCheck(w is None, w)
 
 

@@ -7,8 +7,8 @@ element 0.  An orbit is exactly one isomorphism class, so the census
 reads its classes straight off the orbits, with no pairwise
 isomorphism tests.  Orders up to 5 take well under a second; order 6 is
 allowed behind a flag and takes some seconds.  The labeled stream is
-the union of the orbits in ascending order of the flat table, so runs
-are reproducible and two runs can be compared table for table.
+the union of the orbits in ascending order, comparing row by row, so
+runs are reproducible and two runs can be compared table for table.
 """
 
 from __future__ import annotations
@@ -26,24 +26,23 @@ from .errors import InputError, InternalInvariantError, NotBckError
 _DEFAULT_MAX_ORDER = 5
 _FLAG_MAX_ORDER = 6
 
+Table = tuple[tuple[int, ...], ...]
 
-def _relabel(flat: Sequence[int], n: int, h: Sequence[int]) -> tuple[int, ...]:
-    """Flat table of the copy relabeled by the bijection h (an image map)."""
-    hinv = [0] * n
+
+def _relabel(table: Table, h: Sequence[int]) -> Table:
+    """Table of the copy relabeled by the bijection h (an image map)."""
+    hinv = [0] * len(h)
     for x, hx in enumerate(h):
         hinv[hx] = x
-    rows = [hinv[a] * n for a in range(n)]
-    return tuple(h[flat[r + hinv[b]]] for r in rows for b in range(n))
+    rows = [table[a] for a in hinv]
+    return tuple(tuple(h[row[b]] for b in hinv) for row in rows)
 
 
-def _rows(flat: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+def _orbits(n: int, allow_large: bool) -> list[list[Table]]:
+    """Every order-n BCK table as one sorted list per isomorphism class.
 
-
-def _orbits(n: int, allow_large: bool) -> list[list[tuple[int, ...]]]:
-    """Every order-n BCK table, flat, as one sorted list per isomorphism class.
-
-    Classes are listed by their least table.
+    Classes are listed by their least table.  Equal rows of different
+    tables are one shared tuple, which keeps the order-6 sets small.
     """
     if n < 1:
         raise InputError("order must be positive")
@@ -55,22 +54,25 @@ def _orbits(n: int, allow_large: bool) -> list[list[tuple[int, ...]]]:
             )
         raise InputError(f"order {n} is out of scope (max {_FLAG_MAX_ORDER})")
     relabelings = [(0,) + tail for tail in permutations(range(1, n))]
-    seen: set[tuple[int, ...]] = set()
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    seen: set[Table] = set()
     orbits = []
-    for rows in _kernels.bck_candidates(n):
-        flat = tuple(chain.from_iterable(rows))
-        if flat not in seen:
-            orbit = {_relabel(flat, n, h) for h in relabelings}
+    for table in _kernels.bck_candidates(n):
+        if table not in seen:
+            orbit = {
+                tuple(shared.setdefault(r, r) for r in _relabel(table, h))
+                for h in relabelings
+            }
             seen |= orbit
             orbits.append(sorted(orbit))
     orbits.sort()
     return orbits
 
 
-def _checked(flats: Iterable[tuple[int, ...]], n: int) -> Iterator[CayleyAlgebra]:
-    """Wrap flat tables, each re-validated once with `check_axioms`."""
-    for flat in flats:
-        alg = CayleyAlgebra(_rows(flat, n))
+def _checked(tables: Iterable[Table]) -> Iterator[CayleyAlgebra]:
+    """Wrap tables, each re-validated once with `check_axioms`."""
+    for table in tables:
+        alg = CayleyAlgebra(table)
         if not check_axioms(alg).is_bck:
             raise InternalInvariantError(f"search yielded a non-BCK table {alg.table}")
         yield alg
@@ -81,7 +83,7 @@ def enumerate_bck_algebras(
 ) -> Iterator[CayleyAlgebra]:
     """Stream every BCK Cayley table of order n, element 0 the constant.
 
-    Tables arrive in ascending order of the flat table: the order in
+    Tables arrive in ascending order, compared row by row: the order in
     which a row-major depth-first search over all labelings, values
     ascending, would find them.  The whole set is built before the
     first table is yielded.  Each table is re-validated with
@@ -89,7 +91,7 @@ def enumerate_bck_algebras(
     an internal invariant breach.
     """
     orbits = _orbits(n, allow_large)
-    yield from _checked(sorted(chain.from_iterable(orbits)), n)
+    yield from _checked(sorted(chain.from_iterable(orbits)))
 
 
 def _code_key(code: BlockCode):
@@ -106,11 +108,10 @@ def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     if not check_axioms(alg).is_bck:
         raise NotBckError("label_canonical_code requires a BCK-algebra")
     n = alg.order
-    flat = alg.flat()
     best = None
     best_code = None
     for tail in permutations(range(1, n)):
-        code = _code(_rows(_relabel(flat, n, (0,) + tail), n), range(n))
+        code = _code(_relabel(alg.table, (0,) + tail), range(n))
         key = _code_key(code)
         if best is None or key < best:
             best, best_code = key, code
@@ -165,7 +166,7 @@ def census(n: int, *, allow_large: bool = False) -> CensusReport:
     label_keys = set()
     total = 0
     for orbit in _orbits(n, allow_large):
-        members = list(_checked(orbit, n))
+        members = list(_checked(orbit))
         codes = [_code(alg.table, range(n)) for alg in members]
         keys = [_code_key(c) for c in codes]
         if len(set(keys)) > 1:

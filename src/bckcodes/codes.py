@@ -236,7 +236,7 @@ class Comparison(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _sorted_member_rows(code: BlockCode, other: BlockCode):
+def _sorted_members(code: BlockCode, other: BlockCode):
     if code.length != other.length or len(code) != len(other):
         raise InputError("codes must share the same order to be compared")
     for c in (code, other):
@@ -248,7 +248,7 @@ def _sorted_member_rows(code: BlockCode, other: BlockCode):
 
 def compare_codes_lex(v: BlockCode, w: BlockCode) -> Comparison:
     """Total order: compare the first differing sorted rows as numbers."""
-    a, b = _sorted_member_rows(v, w)
+    a, b = _sorted_members(v, w)
     for ra, rb in zip(a, b):
         if ra != rb:
             return Comparison.GREATER if ra > rb else Comparison.LESS
@@ -257,7 +257,7 @@ def compare_codes_lex(v: BlockCode, w: BlockCode) -> Comparison:
 
 def compare_codes_word(v: BlockCode, w: BlockCode) -> Comparison:
     """Partial order: compare the first differing sorted rows by word order."""
-    a, b = _sorted_member_rows(v, w)
+    a, b = _sorted_members(v, w)
     for ra, rb in zip(a, b):
         if ra != rb:
             if rb & ~ra == 0:

@@ -173,8 +173,9 @@ def test_criterion_09_census_floors_and_unpruned_cross_check():
     pruned = {alg.table for alg in bc.enumerate_bck_algebras(3)}
     brute = set()
     for cells in product(range(3), repeat=9):
-        if _kernels.table_is_bck(cells, 3):
-            brute.add(tuple(tuple(cells[i * 3 : i * 3 + 3]) for i in range(3)))
+        rows = tuple(tuple(cells[i * 3 : i * 3 + 3]) for i in range(3))
+        if _kernels.table_is_bck(rows):
+            brute.add(rows)
     assert pruned == brute
     _finish(9, started, 300.0, "census floors hold; pruned equals unpruned at order 3")
 

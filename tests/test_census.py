@@ -137,8 +137,9 @@ def _labeled_search(n):
 
     def fill(depth):
         if depth == len(cells):
-            if pure.table_is_bck(t, n):
-                yield tuple(tuple(t[x * n : x * n + n]) for x in range(n))
+            rows = tuple(tuple(t[x * n : x * n + n]) for x in range(n))
+            if pure.table_is_bck(rows):
+                yield rows
             return
         x, y = cells[depth]
         idx = x * n + y
@@ -156,6 +157,16 @@ def test_enumeration_matches_labeled_search(n):
     # The orbits of the naturally labeled tables, merged in flat-table
     # order, must give the labeled search's stream table for table.
     assert [a.table for a in bc.enumerate_bck_algebras(n)] == list(_labeled_search(n))
+
+
+def test_orbit_tables_are_rows_that_share_equal_rows():
+    shared = {}
+    for orbit in census_module._orbits(5, False):
+        for table in orbit:
+            assert type(table) is tuple and len(table) == 5
+            for row in table:
+                assert type(row) is tuple and len(row) == 5
+                assert shared.setdefault(row, row) is row
 
 
 def test_enumerated_tables_restore_left_unit_column():

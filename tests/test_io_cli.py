@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bckcodes as bc
-from bckcodes import cli, construct, io
+from bckcodes import _kernels, cli, construct, io
 from bckcodes._kernels import pure
 from bckcodes.cli import main
 import reference_data as rd
@@ -207,10 +207,11 @@ def test_cli_verify_prints_the_same_on_both_scan_paths(tmp_path, monkeypatch, pe
     # must not change a byte of either output format or the exit code
     rng = random.Random(64)
     n = 64
-    flat = _relabeled(bc.pointwise_function_algebra(6).table, rng)
+    table = _relabeled(bc.pointwise_function_algebra(6).table, rng)
     if perturbed:
-        flat[rng.randrange(n * n)] = rng.randrange(n)
-    text = "".join(" ".join(map(str, flat[x * n : x * n + n])) + "\n" for x in range(n))
+        x, y = divmod(rng.randrange(n * n), n)
+        table[x][y] = rng.randrange(n)
+    text = "".join(" ".join(map(str, row)) + "\n" for row in table)
     path = _write(tmp_path, "alg.txt", f"{n}\n{text}")
 
     def run():
@@ -227,6 +228,20 @@ def test_cli_verify_prints_the_same_on_both_scan_paths(tmp_path, monkeypatch, pe
     monkeypatch.setattr(pure, "_NUMPY_MIN_ORDER", 10**9)
     assert run() == arrays
     assert [code for code, _ in arrays] == [int(perturbed)] * 2
+
+
+def test_cli_verify_runs_each_property_scan_once(tmp_path, monkeypatch):
+    alg = bc.pointwise_function_algebra(6)
+    path = _write(tmp_path, "alg.txt", io.render_algebra(alg))
+    calls = []
+    for name in ("commutative_witness", "implicative_witness"):
+        scan = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda t, scan=scan, name=name: calls.append(name) or scan(t)
+        )
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        assert main(["verify", path]) == 0
+    assert sorted(calls) == ["commutative_witness", "implicative_witness"]
 
 
 def test_cli_verify_stdin(monkeypatch, capsys):

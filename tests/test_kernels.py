@@ -11,8 +11,8 @@ from test_construct import chain_poset
 
 
 def _random_table(rng, n):
-    """An arbitrary (usually invalid) flat table over 0..n-1."""
-    return [rng.randrange(n) for _ in range(n * n)]
+    """An arbitrary (usually invalid) table over 0..n-1, as row lists."""
+    return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
 
 
 def _random_near_valid_table(rng, n):
@@ -24,9 +24,9 @@ def _random_near_valid_table(rng, n):
     """
     t = _random_table(rng, n)
     for x in range(n):
-        t[x] = 0
-        t[x * n] = x
-        t[x * n + x] = 0
+        t[0][x] = 0
+        t[x][0] = x
+        t[x][x] = 0
     return t
 
 
@@ -35,22 +35,20 @@ def test_axiom1_numpy_walk_matches_plain_loops():
     for n in [1, 2, 4, 7, 32, 40]:
         for _ in range(25):
             t = _random_table(rng, n)
-            assert pure._axiom1_witness_numpy(t, n) == pure._axiom1_witness_loops(
-                t, n
-            )
+            assert pure._axiom1_witness_numpy(t) == pure._axiom1_witness_loops(t)
 
 
 def _relabeled(table, rng):
-    """The table under a seeded relabeling that fixes 0, as flat cells."""
+    """The table under a seeded relabeling that fixes 0, as row lists."""
     n = len(table)
     tail = list(range(1, n))
     rng.shuffle(tail)
     h = [0] + tail
-    flat = [0] * (n * n)
+    rows = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            flat[h[x] * n + h[y]] = h[table[x][y]]
-    return flat
+            rows[h[x]][h[y]] = h[table[x][y]]
+    return rows
 
 
 def _near_valid_cases():
@@ -64,43 +62,46 @@ def _near_valid_cases():
     """
     rng = random.Random(7)
     chain = bc.algebra_from_poset(chain_poset(40)).table
-    cases = [(40, [v for row in chain for v in row])]
+    cases = [chain]
     for k in (5, 6):
         n = 1 << k
         table = bc.pointwise_function_algebra(k).table
         base = _relabeled(table, rng)
         for edits in range(4):
-            t = list(base)
+            t = [list(row) for row in base]
             for _ in range(edits):
-                t[rng.randrange(n * n)] = rng.randrange(n)
-            cases.append((n, t))
+                x, y = divmod(rng.randrange(n * n), n)
+                t[x][y] = rng.randrange(n)
+            cases.append(t)
         top = n - 1
         edited = [list(row) for row in table]
         edited[top][1] = top
-        cases.append((n, _relabeled(edited, rng)))
+        cases.append(_relabeled(edited, rng))
     return cases
+
+
+def _scans(t):
+    return (
+        pure.axiom_witnesses(t),
+        (pure.commutative_witness(t), pure.implicative_witness(t)),
+    )
 
 
 def test_array_scans_match_plain_loops_on_near_valid_tables(monkeypatch):
     cases = _near_valid_cases()
-    arrays = [
-        (pure.axiom_witnesses(t, n), pure.property_witnesses(t, n)) for n, t in cases
-    ]
+    arrays = [_scans(t) for t in cases]
     monkeypatch.setattr(pure, "_NUMPY_MIN_ORDER", 10**9)
-    loops = [
-        (pure.axiom_witnesses(t, n), pure.property_witnesses(t, n)) for n, t in cases
-    ]
+    loops = [_scans(t) for t in cases]
     assert arrays == loops
-    for (n, t), (axioms, _) in zip(cases, arrays):
-        table = [t[x * n : x * n + n] for x in range(n)]
+    for t, (axioms, _) in zip(cases, arrays):
         for axiom, w in enumerate(axioms, start=1):
-            assert (w is None) == brute_axiom_holds(table, axiom)
+            assert (w is None) == brute_axiom_holds(t, axiom)
     # the cases reach every branch: tables that pass, an axiom-1 witness
     # deep in the table, and both answers of each property scan
     assert any(all(w is None for w in axioms) for axioms, _ in arrays)
     assert any(
-        axioms[0] is not None and axioms[0][0] >= n // 2
-        for (n, _), (axioms, _) in zip(cases, arrays)
+        axioms[0] is not None and axioms[0][0] >= len(t) // 2
+        for t, (axioms, _) in zip(cases, arrays)
     )
     bck_props = [props for axioms, props in arrays if axioms == (None,) * 5]
     for i in (0, 1):
@@ -112,19 +113,19 @@ def test_pure_witnesses_match_is_bck():
     for n in [2, 3, 4]:
         for _ in range(200):
             t = _random_near_valid_table(rng, n)
-            witnesses = pure.axiom_witnesses(t, n)
-            assert pure.table_is_bck(t, n) == all(w is None for w in witnesses)
+            witnesses = pure.axiom_witnesses(t)
+            assert pure.table_is_bck(t) == all(w is None for w in witnesses)
 
 
 def test_witness_shapes():
     # table where element 1 absorbs: 1*1 = 1 breaks reflexivity
-    t = [0, 0, 1, 1]
-    w1, w2, w3, w4, w5 = pure.axiom_witnesses(t, 2)
+    t = [[0, 0], [1, 1]]
+    w1, w2, w3, w4, w5 = pure.axiom_witnesses(t)
     assert w3 == (1,)
     assert w1 is not None and len(w1) == 3
     assert w2 is not None and len(w2) == 2
     # the valid two-chain has no witnesses at all
-    assert pure.axiom_witnesses([0, 0, 1, 0], 2) == (None,) * 5
+    assert pure.axiom_witnesses([[0, 0], [1, 0]]) == (None,) * 5
 
 
 def test_first_tables_stream_before_the_sweep_finishes():
