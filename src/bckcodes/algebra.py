@@ -225,7 +225,9 @@ def induced_order(alg: CayleyAlgebra) -> Poset:
     breach rather than an input error.
     """
     try:
-        poset = Poset.of(pack_bits(v == 0 for v in row) for row in alg.table)
+        poset = Poset.of(
+            int("".join(["1" if v == 0 else "0" for v in row]), 2) for row in alg.table
+        )
     except InputError as exc:
         raise InternalInvariantError(
             f"induced relation is not a partial order ({exc}); input not BCK?"

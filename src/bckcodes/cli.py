@@ -285,13 +285,10 @@ def cmd_enumerate(args) -> int:
         }
         sys.stdout.write(io.render_report("family", payload))
     else:
-        out = io.render_algebra(
+        sys.stdout.write(io.render_algebra(
             algebra, header=f"algebra of the {algebra.order} order-{n} family members"
-        )
-        out += "# canonical code:\n"
-        for w in code.strings():
-            out += f"# {w}\n"
-        sys.stdout.write(out)
+        ))
+        sys.stdout.write("# canonical code:\n" + "".join([f"# {w}\n" for w in code.strings()]))
     return 0
 
 

@@ -68,7 +68,7 @@ class Codeword:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in str(self))
+        return tuple([self.value >> s & 1 for s in range(self.length - 1, -1, -1)])
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b")

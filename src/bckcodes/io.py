@@ -69,8 +69,8 @@ def render_algebra(alg: CayleyAlgebra, header: str | None = None) -> str:
         out.append("# elements: " + " ".join(alg.names))
     out.append(str(alg.order))
     width = len(str(alg.order - 1))
-    for row in alg.table:
-        out.append(" ".join(str(v).rjust(width) for v in row))
+    cells = [str(v).rjust(width) for v in range(alg.order)]
+    out.extend(" ".join([cells[v] for v in row]) for row in alg.table)
     return "\n".join(out) + "\n"
 
 

@@ -93,7 +93,12 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
 
     Members are sorted descending by their matrices, so the staircase
     code is element 0; x*y = 0 exactly when x's matrix precedes y's in
-    the row-by-row word order.  Returns the algebra together with its
+    the row-by-row word order: at the first row k where they differ,
+    y's word has no 1 outside x's.  The order rows are built block by
+    block: members sharing rows 0..k-1 are one contiguous run, those
+    that also share row k are contiguous sub-runs, and every member of
+    sub-run A is below every member of each sibling sub-run whose row-k
+    word lies inside A's.  Returns the algebra together with its
     canonical code (one word per member), which is the sorted rows of
     the order.  Bounded at n = 6, where the family has 1024 members:
     order 7 has 32,768, so its table would have 2**30 cells.
@@ -102,19 +107,36 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
         raise InputError("family_algebra supports 1 <= n <= 6")
 
     members = [lex_sort_desc(c) for c in enumerate_triangular_codes(n)]
-    # Rows as raw ints, not Codewords, in the size**2 loop: a <= b is b & ~a == 0.
     packed = sorted((tuple(w.value for w in c.words) for c in members), reverse=True)
     if packed[0] != tuple(w.value for w in staircase_code(n).words):
         raise InternalInvariantError("family maximum is not the staircase code")
     size = len(packed)
+    rows = [0] * size
 
-    def le(i: int, j: int) -> bool:
-        for a, b in zip(packed[i], packed[j]):
-            if a != b:
-                return b & ~a == 0
-        return True
+    def span(lo: int, hi: int) -> int:
+        """Bits lo..hi-1 of a size-bit order row, bit 0 most significant."""
+        return ((1 << (hi - lo)) - 1) << (size - hi)
 
-    poset = Poset.of(pack_bits(le(i, j) for j in range(size)) for i in range(size))
+    def build(lo: int, hi: int, k: int, above: int) -> None:
+        # members lo..hi-1 share rows 0..k-1 and are all below the bits in `above`
+        runs = []
+        for i in range(lo, hi):
+            if runs and runs[-1][0] == packed[i][k]:
+                runs[-1][2] = i + 1
+            else:
+                runs.append([packed[i][k], i, i + 1])
+        for a, a_lo, a_hi in runs:
+            mask = above
+            for b, b_lo, b_hi in runs:
+                if b != a and b & ~a == 0:
+                    mask |= span(b_lo, b_hi)
+            if a_hi - a_lo == 1:
+                rows[a_lo] = mask | span(a_lo, a_hi)
+            else:
+                build(a_lo, a_hi, k + 1, mask)
+
+    build(0, size, 0, 0)
+    poset = Poset.of(rows)
     if poset.minimum != 0:
         raise InternalInvariantError("staircase code is not the order minimum")
     code = tuple(Codeword.of(r, size) for r in sorted(poset.rows, reverse=True))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io as stdio
 import json
@@ -42,6 +43,35 @@ def test_parse_algebra_accepts_comments_and_blanks():
 def test_render_algebra_roundtrip(alg4_commutative):
     rendered = io.render_algebra(alg4_commutative, header="anything")
     assert io.parse_algebra(rendered) == alg4_commutative
+
+
+def _render_algebra_per_cell(alg, header=None):
+    """`io.render_algebra` as it formatted each cell on its own."""
+    out = []
+    if header:
+        out.append(f"# {header}")
+    if alg.names is not None:
+        out.append("# elements: " + " ".join(alg.names))
+    out.append(str(alg.order))
+    width = len(str(alg.order - 1))
+    for row in alg.table:
+        out.append(" ".join(str(v).rjust(width) for v in row))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 100, 1000])
+def test_render_algebra_matches_per_cell_formatting(n):
+    rng = random.Random(n)
+    table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    names = tuple(f"e{i}" for i in range(n))
+    for alg in (bc.CayleyAlgebra(table), bc.CayleyAlgebra(table, names)):
+        for header in (None, f"random order-{n} table"):
+            got = io.render_algebra(alg, header).split("\n")
+            want = _render_algebra_per_cell(alg, header).split("\n")
+            assert len(got) == len(want)
+            # line by line, so a failure does not diff two megabyte strings
+            for got_line, want_line in zip(got, want):
+                assert got_line == want_line
 
 
 @given(st.integers(1, 5).flatmap(
@@ -450,6 +480,16 @@ def test_cli_enumerate_family_json(capsys):
     data = io.parse_report(capsys.readouterr().out)
     assert data["table"] == [[0, 0], [1, 0]]
     assert data["code"] == list(rd.CHAIN2_CODE)
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "db9fce8d0f6026751ec5f24a8d0c3d293fdb2b2c20d92d3923d70a075776147f"),
+    (["--json"], "8ddae7df8c78edf520bc13cb8cfc87eb99573a2027505ea0f5b9393518f1ef35"),
+], ids=["text", "json"])
+def test_cli_enumerate_family_order_6_output_is_pinned(flags, digest, capsys):
+    assert main(["enumerate", "--family", "--order", "6", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_enumerate_order_6_needs_explicit_cap(capsys):

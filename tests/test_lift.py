@@ -3,6 +3,7 @@ import random
 import pytest
 
 import bckcodes as bc
+from bckcodes.codes import pack_bits
 import reference_data as rd
 
 
@@ -132,15 +133,41 @@ def test_family_algebra_small():
 
 
 def test_family_zero_is_the_staircase_and_order_matches_comparator():
-    members = [bc.lex_sort_desc(c) for c in bc.enumerate_triangular_codes(4)]
+    members = [bc.lex_sort_desc(c) for c in bc.enumerate_triangular_codes(5)]
     members.sort(key=lambda c: tuple(w.bits for w in c.words), reverse=True)
-    assert members[0] == bc.staircase_code(4)
-    alg, _ = bc.family_algebra(4)
-    for x in range(8):
-        for y in range(8):
+    assert members[0] == bc.staircase_code(5)
+    alg, _ = bc.family_algebra(5)
+    for x in range(64):
+        for y in range(64):
             rel = bc.compare_codes_word(members[x], members[y])
             expected_zero = rel in (bc.Comparison.LESS, bc.Comparison.EQUAL)
             assert (alg.table[x][y] == 0) == expected_zero
+
+
+def _pairwise_family_rows(n):
+    """The family order pair by pair: at the first row where two sorted
+    matrices differ, i <= j iff j's word has no 1 outside i's."""
+    packed = sorted(
+        (tuple(w.value for w in bc.lex_sort_desc(c).words) for c in bc.enumerate_triangular_codes(n)),
+        reverse=True,
+    )
+    size = len(packed)
+
+    def le(i, j):
+        for a, b in zip(packed[i], packed[j]):
+            if a != b:
+                return b & ~a == 0
+        return True
+
+    return tuple(pack_bits(le(i, j) for j in range(size)) for i in range(size))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_family_order_rows_match_the_pairwise_definition(n):
+    rows = _pairwise_family_rows(n)
+    alg, code = bc.family_algebra(n)
+    assert bc.induced_order(alg).rows == rows
+    assert [w.value for w in code.words] == sorted(rows, reverse=True)
 
 
 def test_family_bounds():
