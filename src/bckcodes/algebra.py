@@ -30,7 +30,10 @@ class CayleyAlgebra:
     """A finite groupoid with distinguished element 0, given by its table.
 
     ``table[x][y]`` is the product x*y.  Optional ``names`` are display
-    labels only; they never affect equality or hashing.
+    labels only; they never affect equality or hashing.  The constructor
+    checks that the table is square with entries in 0..n-1 and that
+    there is one name per element.  The library skips that check only
+    for tables its own construction keeps in range (see `_trusted`).
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -48,11 +51,16 @@ class CayleyAlgebra:
                 v = next(v for v in row if not 0 <= v < n)
                 raise InputError(f"table entry {v} outside 0..{n - 1}")
         object.__setattr__(self, "table", rows)
-        if self.names is not None:
-            names = tuple(str(s) for s in self.names)
-            if len(names) != n:
-                raise InputError("need exactly one name per element")
-            object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", _checked_names(self.names, n))
+
+    @classmethod
+    def _trusted(cls, table, names=None) -> "CayleyAlgebra":
+        """The algebra of ``table``, a square tuple of int tuples with
+        entries in 0..n-1, named by None or n strings; unchecked."""
+        alg = object.__new__(cls)
+        object.__setattr__(alg, "table", table)
+        object.__setattr__(alg, "names", names)
+        return alg
 
     @property
     def order(self) -> int:
@@ -62,6 +70,16 @@ class CayleyAlgebra:
         if self.names is not None:
             return self.names[x]
         return str(x)
+
+
+def _checked_names(names, n: int) -> tuple[str, ...] | None:
+    """``names`` as n strings (None stays None); `InputError` on a wrong count."""
+    if names is None:
+        return None
+    names = tuple(str(s) for s in names)
+    if len(names) != n:
+        raise InputError("need exactly one name per element")
+    return names
 
 
 @dataclass(frozen=True)
@@ -115,7 +133,8 @@ class Poset:
     of n bits as in `Codeword`.  Construction, from a boolean matrix or
     with `of` from the rows, validates reflexivity, antisymmetry and
     transitivity.  ``minimum`` is detected automatically; passing it
-    explicitly just asserts the detected value.
+    explicitly just asserts the detected value.  The library skips the
+    validation only for orders a theorem makes partial (see `_trusted`).
     """
 
     rows: tuple[int, ...]
@@ -132,6 +151,13 @@ class Poset:
         """The poset whose row x has bit y set iff x <= y."""
         p = object.__new__(cls)
         p._validate(tuple(rows), minimum)
+        return p
+
+    @classmethod
+    def _trusted(cls, rows: tuple[int, ...]) -> "Poset":
+        """The poset of ``rows``, already known to be a partial order; unchecked."""
+        p = object.__new__(cls)
+        p._store(rows)
         return p
 
     def _validate(self, rows: tuple[int, ...], minimum: int | None) -> None:
@@ -153,11 +179,16 @@ class Poset:
             if reach & ~rows[x]:
                 z = bit_positions(reach & ~rows[x], n)[0]
                 raise InputError(f"relation is not transitive at ({x}, {z})")
-        detected = next((x for x, r in enumerate(rows) if r == 2**n - 1), None)
-        if minimum is not None and minimum != detected:
+        self._store(rows)
+        if minimum is not None and minimum != self.minimum:
             raise InputError(f"element {minimum} is not the minimum of the relation")
+
+    def _store(self, rows: tuple[int, ...]) -> None:
+        """Set ``rows`` and the detected ``minimum``, the row with every bit set."""
+        full = (1 << len(rows)) - 1
+        minimum = next((x for x, r in enumerate(rows) if r == full), None)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "minimum", detected)
+        object.__setattr__(self, "minimum", minimum)
 
     @property
     def order(self) -> int:

@@ -113,6 +113,13 @@ class BlockCode:
         object.__setattr__(self, "words", words)
 
     @classmethod
+    def _trusted(cls, words: tuple[Codeword, ...]) -> "BlockCode":
+        """The code of ``words``, already distinct, non-empty and of one length; unchecked."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "words", words)
+        return code
+
+    @classmethod
     def from_strings(cls, strings) -> "BlockCode":
         return cls(tuple(Codeword.from_string(s) for s in strings))
 
@@ -132,7 +139,8 @@ class BlockCode:
 
 def lex_sort_desc(code: BlockCode) -> BlockCode:
     """The same code with words in descending lexicographic order."""
-    return BlockCode(tuple(sorted(code.words, key=lambda w: w.value, reverse=True)))
+    # a permutation of a valid code
+    return BlockCode._trusted(tuple(sorted(code.words, key=lambda w: w.value, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,8 @@ def embed_matrix(m: BlockCode) -> BlockCode:
     size = len(values) + m.length
     rows = [1 << (size - 1 - i) | v for i, v in enumerate(values)]
     rows += (1 << j for j in reversed(range(m.length)))
-    return BlockCode(tuple(Codeword.of(r, size) for r in rows))
+    # the unit diagonal makes the rows distinct
+    return BlockCode._trusted(tuple(Codeword.of(r, size) for r in rows))
 
 
 def ensure_all_ones(b: BlockCode) -> BlockCode:
@@ -194,7 +203,8 @@ def ensure_all_ones(b: BlockCode) -> BlockCode:
     if b.words[0].value == (1 << n) - 1:
         return b
     rows = [(1 << n + 1) - 1, *(w.value for w in b.words)]
-    return BlockCode(tuple(Codeword.of(r, n + 1) for r in rows))
+    # the unit diagonal makes the rows distinct
+    return BlockCode._trusted(tuple(Codeword.of(r, n + 1) for r in rows))
 
 
 def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockCode]:
@@ -217,7 +227,8 @@ def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockC
 
     def member(pattern: int) -> BlockCode:
         rows = (diag | (pattern >> shift) & (diag - 1) for diag, shift in shapes)
-        return BlockCode((top, *(Codeword.of(v, n) for v in rows)))
+        # the unit diagonal makes the rows distinct
+        return BlockCode._trusted((top, *(Codeword.of(v, n) for v in rows)))
 
     return map(member, range(1 << (n - 1) * (n - 2) // 2))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .algebra import CayleyAlgebra, Poset
+from .algebra import CayleyAlgebra, Poset, _checked_names
 from .codes import BlockCode, Codeword, bit_positions, is_triangular_code, lex_sort_desc, pack_bits
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
@@ -28,13 +28,15 @@ def algebra_from_poset(p: Poset, names: tuple[str, ...] | None = None) -> Cayley
     if p.minimum is None:
         raise InputError("poset has no minimum element")
     n = p.order
+    names = _checked_names(names, n)
     order_of = [p.minimum] + [i for i in range(n) if i != p.minimum]
     label = {e: x for x, e in enumerate(order_of)}
     table = [[x] * n for x in range(n)]
     for x, e in enumerate(order_of):
         for y in bit_positions(p.rows[e], n):
             table[x][label[y]] = 0
-    return CayleyAlgebra(table, names)
+    # every cell is 0 or its row index x < n
+    return CayleyAlgebra._trusted(tuple(map(tuple, table)), names)
 
 
 @dataclass(frozen=True)
@@ -53,18 +55,25 @@ def construct_from_code(code: BlockCode) -> ConstructionResult:
     The code is sorted lex-descending first, so element i of the
     algebra corresponds to sorted word i (the all-ones word becomes 0).
     """
+    sorted_code, poset = _word_order(code)
+    names = tuple(f"w{i + 1}" for i in range(len(sorted_code)))
+    algebra = algebra_from_poset(poset, names)
+    function = BckFunction.identity(algebra)
+    return ConstructionResult(algebra, sorted_code, function, poset)
+
+
+def _word_order(code: BlockCode) -> tuple[BlockCode, Poset]:
+    """A checked triangular-family code, sorted lex-descending, and its word order."""
     check = is_triangular_code(code)
     if not check:
         raise InputError(f"not a triangular-family code: {check.reason}")
     sorted_code = lex_sort_desc(code)
     values = [w.value for w in sorted_code.words]
-    poset = Poset.of(pack_bits(b & ~a == 0 for b in values) for a in values)
+    # the word order of distinct equal-length words is a partial order
+    poset = Poset._trusted(tuple(pack_bits(b & ~a == 0 for b in values) for a in values))
     if poset.minimum != 0:
         raise InternalInvariantError("all-ones word is not the order minimum")
-    names = tuple(f"w{i + 1}" for i in range(len(values)))
-    algebra = algebra_from_poset(poset, names)
-    function = BckFunction.identity(algebra)
-    return ConstructionResult(algebra, sorted_code, function, poset)
+    return sorted_code, poset
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,9 @@ class RoundTripReport:
     equals the word-order incidence matrix of its own rows (entry (k, j)
     is 1 iff word k <= word j).  Row k of that matrix is the word the
     algebra produces for element k, so it is ``not mismatches``; that
-    exactly these codes are ``exact`` stays a claim to check.
+    exactly these codes are ``exact`` stays a claim to check.  The
+    report reads only the sorted code and its word order, so
+    `verify_roundtrip` builds no table.
     """
 
     exact: bool
@@ -93,20 +104,22 @@ class RoundTripReport:
 
 
 def verify_roundtrip(code: BlockCode) -> RoundTripReport:
-    return _roundtrip(construct_from_code(code))
+    """The round-trip report of a triangular-family code."""
+    return _roundtrip(*_word_order(code))
 
 
-def _roundtrip(result: ConstructionResult) -> RoundTripReport:
+def _roundtrip(sorted_code: BlockCode, poset: Poset) -> RoundTripReport:
     """The round-trip report, read off the rows of the code's word order."""
-    rows = result.poset.rows
+    rows = poset.rows
     n = len(rows)
-    regenerated = BlockCode(tuple(Codeword.of(r, n) for r in sorted(rows, reverse=True)))
+    # antisymmetry makes the order rows distinct
+    regenerated = BlockCode._trusted(tuple(Codeword.of(r, n) for r in sorted(rows, reverse=True)))
     mismatches = tuple(
         RowMismatch(k, w, Codeword.of(r, n))
-        for k, (w, r) in enumerate(zip(result.code.words, rows))
+        for k, (w, r) in enumerate(zip(sorted_code.words, rows))
         if w.value != r
     )
-    exact = regenerated == result.code
+    exact = regenerated == sorted_code
     return RoundTripReport(exact, regenerated, mismatches, not mismatches)
 
 

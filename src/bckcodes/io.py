@@ -58,7 +58,8 @@ def parse_algebra(text: str) -> CayleyAlgebra:
         if min(row) < 0 or max(row) >= n:
             raise ParseError(f"table entry outside 0..{n - 1}", lineno)
         rows.append(row)
-    return CayleyAlgebra(tuple(rows))
+    # n rows of n ints in 0..n-1, each checked above
+    return CayleyAlgebra._trusted(tuple(rows))
 
 
 def render_algebra(alg: CayleyAlgebra, header: str | None = None) -> str:

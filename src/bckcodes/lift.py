@@ -69,7 +69,8 @@ def lift_code(v: BlockCode) -> LiftResult:
     # element r's word on column e is bit e of its order row r
     ones = (set(bit_positions(r, order)) for r in result.poset.rows)
     words = sorted({pack_bits(e in s for e in column_map) for s in ones}, reverse=True)
-    lifted = BlockCode(tuple(Codeword.of(w, sorted_v.length) for w in words))
+    # distinct: drawn from a set
+    lifted = BlockCode._trusted(tuple(Codeword.of(w, sorted_v.length) for w in words))
 
     missing = set(sorted_v.words) - set(lifted.words)
     if missing:

@@ -206,3 +206,83 @@ def test_poset_iteration_is_deterministic():
     first = [p.leq for p in bc.iter_posets_with_minimum(3)]
     second = [p.leq for p in bc.iter_posets_with_minimum(3)]
     assert first == second
+
+
+def _validated_report(sorted_code: bc.BlockCode, poset: bc.Poset) -> bc.RoundTripReport:
+    """The round-trip report rebuilt with the public, checking constructors."""
+    n = poset.order
+    regenerated = bc.BlockCode(tuple(bc.Codeword.of(r, n) for r in sorted(poset.rows, reverse=True)))
+    mismatches = tuple(
+        bc.RowMismatch(k, w, bc.Codeword.of(r, n))
+        for k, (w, r) in enumerate(zip(sorted_code.words, poset.rows))
+        if w.value != r
+    )
+    return bc.RoundTripReport(regenerated == sorted_code, regenerated, mismatches, not mismatches)
+
+
+def _trusted_sample():
+    """Every family code at orders 1-6 and 2,000 seeded order-7 codes."""
+    for n in range(1, 7):
+        yield from bc.enumerate_triangular_codes(n)
+    codes7 = list(bc.enumerate_triangular_codes(7))
+    yield from random.Random(11).sample(codes7, 2000)
+
+
+def test_trusted_path_equals_the_validated_path():
+    for code in _trusted_sample():
+        result = bc.construct_from_code(code)
+        poset = bc.Poset.of(result.poset.rows)
+        assert result.poset == poset
+        assert result.poset.minimum == poset.minimum == 0
+        validated = bc.CayleyAlgebra(result.algebra.table, result.algebra.names)
+        assert result.algebra == validated
+        assert result.algebra.names == validated.names
+        sorted_code = bc.lex_sort_desc(code)
+        assert sorted_code == bc.BlockCode(sorted_code.words)
+        assert result.code == sorted_code
+        report = bc.verify_roundtrip(code)
+        assert report == _validated_report(bc.BlockCode(result.code.words), poset)
+        assert report.regenerated == bc.BlockCode(report.regenerated.words)
+
+
+def test_trusted_builders_equal_validated_objects():
+    alg, _ = bc.family_algebra(6)
+    assert alg == bc.CayleyAlgebra(alg.table)
+    for code in bc.enumerate_triangular_codes(4):
+        embedded = bc.embed_matrix(code)
+        lifted = bc.lift_code(code).lifted_code
+        for built in (embedded, bc.ensure_all_ones(embedded), lifted):
+            assert built == bc.BlockCode(built.words)
+
+
+def test_algebra_from_poset_still_checks_names():
+    poset = chain_poset(3)
+    assert bc.algebra_from_poset(poset, names=(1, 2, 3)).names == ("1", "2", "3")
+    for names in (("a", "b"), ("a", "b", "c", "d")):
+        with pytest.raises(bc.InputError, match="one name per element"):
+            bc.algebra_from_poset(poset, names=names)
+
+
+# Naturally labeled posets on n-1 points (OEIS A006455), n = 1..7
+_EXACT_ROUNDTRIPS = (1, 1, 2, 7, 40, 357, 4824)
+
+
+def _naturally_labeled_with_minimum(n: int) -> int:
+    """Posets on 0..n-1 with minimum 0 in which x <= y implies x <= y as integers."""
+    count = 0
+    for poset in bc.iter_posets_with_minimum(n):
+        natural = all(x <= y for x in range(n) for y in range(n) if poset.le(x, y))
+        count += poset.minimum == 0 and natural
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exact_roundtrip_counts_match_the_brute_force(n):
+    assert _naturally_labeled_with_minimum(n) == _EXACT_ROUNDTRIPS[n - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exact_roundtrip_counts(n):
+    reports = [bc.verify_roundtrip(c) for c in bc.enumerate_triangular_codes(n)]
+    assert sum(r.exact for r in reports) == _EXACT_ROUNDTRIPS[n - 1]
+    assert all(r.exact == r.self_describing for r in reports)
