@@ -184,8 +184,6 @@ def bck_candidates(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     def violates(x: int, y: int) -> bool:
         row = t[x]
         v = row[y]
-        if v == 0 and t[y][x] == 0:
-            return True
         p = row[v]
         if p >= 0 and t[p][y] > 0:
             return True

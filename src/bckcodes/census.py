@@ -94,10 +94,6 @@ def enumerate_bck_algebras(
     yield from _checked(sorted(chain.from_iterable(orbits)))
 
 
-def _code_key(code: BlockCode):
-    return tuple(w.value for w in code.words)
-
-
 def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     """Canonical code minimised over all relabelings fixing element 0.
 
@@ -112,9 +108,8 @@ def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     best_code = None
     for tail in permutations(range(1, n)):
         code = _code(_relabel(alg.table, (0,) + tail), range(n))
-        key = _code_key(code)
-        if best is None or key < best:
-            best, best_code = key, code
+        if best is None or code.values < best:
+            best, best_code = code.values, code
     return best_code
 
 
@@ -168,12 +163,12 @@ def census(n: int, *, allow_large: bool = False) -> CensusReport:
     for orbit in _orbits(n, allow_large):
         members = list(_checked(orbit))
         codes = [_code(alg.table, range(n)) for alg in members]
-        keys = [_code_key(c) for c in codes]
+        keys = [c.values for c in codes]
         if len(set(keys)) > 1:
             varies = True
         code_keys.update(keys)
-        lc = min(codes, key=_code_key)
-        label_keys.add(_code_key(lc))
+        lc = min(codes, key=lambda c: c.values)
+        label_keys.add(lc.values)
         total += len(members)
         inventory.append(ClassEntry(members[0], len(members), codes[0], lc))
 
@@ -211,7 +206,6 @@ def quotient_classes(
         if not check_axioms(alg).is_bck:
             raise NotBckError("quotient_classes requires BCK-algebras")
         code = _code(alg.table, range(order))
-        key = _code_key(code)
-        groups.setdefault(key, (code, []))[1].append(alg)
+        groups.setdefault(code.values, (code, []))[1].append(alg)
     ordered = sorted(groups.items(), key=lambda item: item[0], reverse=True)
     return tuple((code, tuple(members)) for _, (code, members) in ordered)

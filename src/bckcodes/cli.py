@@ -50,8 +50,6 @@ def _read(path: str) -> str:
 
 
 def _witness_str(witness) -> str:
-    if witness is None:
-        return ""
     vars_ = "xyz"
     return ", ".join(f"{vars_[i]}={v}" for i, v in enumerate(witness))
 

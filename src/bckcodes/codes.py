@@ -88,59 +88,69 @@ def word_leq(a: Codeword, b: Codeword) -> bool:
     return b.value & ~a.value == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockCode:
-    """A non-empty set of distinct equal-length codewords.
+    """A non-empty set of distinct words of ``length`` bits, held as integers.
 
-    Word order is preserved as given; two BlockCode values are equal
-    only when their word sequences match.  Use `lex_sort_desc` for the
-    canonical arrangement.
+    ``values[i]`` is word i in the `Codeword` layout, bit 0 the most
+    significant; ``words`` and ``strings()`` are derived from it.
+    `BlockCode(words)` builds a code from words or bit sequences and
+    `BlockCode.of(values, length)` from the integers; both check their
+    input.  Word order is preserved as given; two BlockCode values are
+    equal only when their values and lengths match.  Use
+    `lex_sort_desc` for the canonical arrangement.
     """
 
-    words: tuple[Codeword, ...]
+    values: tuple[int, ...]
+    length: int
 
-    def __post_init__(self):
-        words = tuple(
-            w if isinstance(w, Codeword) else Codeword(tuple(w)) for w in self.words
-        )
+    def __init__(self, words):
+        words = tuple(w if isinstance(w, Codeword) else Codeword(tuple(w)) for w in words)
         if not words:
             raise InputError("a block code needs at least one codeword")
         length = len(words[0])
         if any(len(w) != length for w in words):
             raise InputError("codewords must share one length")
-        if len({w.value for w in words}) != len(words):
-            raise InputError("duplicate codeword")
-        object.__setattr__(self, "words", words)
+        self._store(tuple(w.value for w in words), length)
 
     @classmethod
-    def _trusted(cls, words: tuple[Codeword, ...]) -> "BlockCode":
-        """The code of ``words``, already distinct, non-empty and of one length; unchecked."""
+    def of(cls, values, length: int) -> "BlockCode":
+        """The code whose words are the ``length``-bit integers ``values``, in order."""
+        values = tuple(values)
+        if not values:
+            raise InputError("a block code needs at least one codeword")
+        for v in values:
+            if length < 1 or not 0 <= v < 1 << length:
+                raise InputError(f"value {v} does not fit in {length} bits")
         code = object.__new__(cls)
-        object.__setattr__(code, "words", words)
+        code._store(values, length)
         return code
+
+    def _store(self, values: tuple[int, ...], length: int) -> None:
+        if len(set(values)) != len(values):
+            raise InputError("duplicate codeword")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "length", length)
 
     @classmethod
     def from_strings(cls, strings) -> "BlockCode":
         return cls(tuple(Codeword.from_string(s) for s in strings))
 
-    def strings(self) -> tuple[str, ...]:
-        return tuple(str(w) for w in self.words)
-
     @property
-    def length(self) -> int:
-        return len(self.words[0])
+    def words(self) -> tuple[Codeword, ...]:
+        return tuple(Codeword.of(v, self.length) for v in self.values)
+
+    def strings(self) -> tuple[str, ...]:
+        spec = f"0{self.length}b"
+        return tuple(format(v, spec) for v in self.values)
 
     def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self) -> Iterator[Codeword]:
-        return iter(self.words)
+        return len(self.values)
 
 
 def lex_sort_desc(code: BlockCode) -> BlockCode:
     """The same code with words in descending lexicographic order."""
-    # a permutation of a valid code
-    return BlockCode._trusted(tuple(sorted(code.words, key=lambda w: w.value, reverse=True)))
+    return BlockCode.of(sorted(code.values, reverse=True), code.length)
 
 
 @dataclass(frozen=True)
@@ -162,7 +172,7 @@ def is_triangular_code(code: BlockCode) -> MembershipCheck:
     n = code.length
     if len(code) != n:
         return MembershipCheck(False, f"not square: {len(code)} words of length {n}")
-    values = sorted((w.value for w in code.words), reverse=True)
+    values = sorted(code.values, reverse=True)
     if values[0] != (1 << n) - 1:
         return MembershipCheck(False, "all-ones word missing")
     for i, v in enumerate(values):
@@ -184,27 +194,24 @@ def _row_defect(value: int, i: int, n: int) -> str | None:
 
 def embed_matrix(m: BlockCode) -> BlockCode:
     """The rows of [[I, A], [0, I]], where A's rows are m's lex-descending words."""
-    values = [w.value for w in m.words]
+    values = m.values
     if any(a < b for a, b in zip(values, values[1:])):
         raise InputError("matrix rows must be in descending lexicographic order")
     size = len(values) + m.length
     rows = [1 << (size - 1 - i) | v for i, v in enumerate(values)]
     rows += (1 << j for j in reversed(range(m.length)))
-    # the unit diagonal makes the rows distinct
-    return BlockCode._trusted(tuple(Codeword.of(r, size) for r in rows))
+    return BlockCode.of(rows, size)
 
 
 def ensure_all_ones(b: BlockCode) -> BlockCode:
     """Prepend an all-ones row (and a zero column) to the rows of a square unit
     upper-triangular matrix; ``b`` itself when its row 0 is all ones."""
     n = b.length
-    if len(b) != n or any(_row_defect(w.value, i, n) for i, w in enumerate(b.words)):
+    if len(b) != n or any(_row_defect(v, i, n) for i, v in enumerate(b.values)):
         raise InputError("expected a square unit upper-triangular matrix")
-    if b.words[0].value == (1 << n) - 1:
+    if b.values[0] == (1 << n) - 1:
         return b
-    rows = [(1 << n + 1) - 1, *(w.value for w in b.words)]
-    # the unit diagonal makes the rows distinct
-    return BlockCode._trusted(tuple(Codeword.of(r, n + 1) for r in rows))
+    return BlockCode.of(((1 << n + 1) - 1, *b.values), n + 1)
 
 
 def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockCode]:
@@ -223,12 +230,11 @@ def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockC
     # Row i's free bits are its low n-1-i bits; counting `pattern` up
     # hands them out row-major, most significant first.
     shapes = [(1 << (n - 1 - i), (n - 2 - i) * (n - 1 - i) // 2) for i in range(1, n)]
-    top = Codeword.of((1 << n) - 1, n)
+    top = (1 << n) - 1
 
     def member(pattern: int) -> BlockCode:
         rows = (diag | (pattern >> shift) & (diag - 1) for diag, shift in shapes)
-        # the unit diagonal makes the rows distinct
-        return BlockCode._trusted((top, *(Codeword.of(v, n) for v in rows)))
+        return BlockCode.of((top, *rows), n)
 
     return map(member, range(1 << (n - 1) * (n - 2) // 2))
 
@@ -237,7 +243,7 @@ def staircase_code(n: int) -> BlockCode:
     """The member whose sorted row k is k zeros followed by n-k ones."""
     if n < 1:
         raise InputError("n must be positive")
-    return BlockCode(tuple(Codeword.of((1 << (n - i)) - 1, n) for i in range(n)))
+    return BlockCode.of([(1 << (n - i)) - 1 for i in range(n)], n)
 
 
 class Comparison(enum.Enum):
@@ -254,7 +260,7 @@ def _sorted_members(code: BlockCode, other: BlockCode):
         check = is_triangular_code(c)
         if not check:
             raise InputError(f"not a triangular-family code: {check.reason}")
-    return [sorted((w.value for w in c.words), reverse=True) for c in (code, other)]
+    return [sorted(c.values, reverse=True) for c in (code, other)]
 
 
 def compare_codes_lex(v: BlockCode, w: BlockCode) -> Comparison:

@@ -68,7 +68,7 @@ def _word_order(code: BlockCode) -> tuple[BlockCode, Poset]:
     if not check:
         raise InputError(f"not a triangular-family code: {check.reason}")
     sorted_code = lex_sort_desc(code)
-    values = [w.value for w in sorted_code.words]
+    values = sorted_code.values
     # the word order of distinct equal-length words is a partial order
     poset = Poset._trusted(tuple(pack_bits(b & ~a == 0 for b in values) for a in values))
     if poset.minimum != 0:
@@ -112,12 +112,11 @@ def _roundtrip(sorted_code: BlockCode, poset: Poset) -> RoundTripReport:
     """The round-trip report, read off the rows of the code's word order."""
     rows = poset.rows
     n = len(rows)
-    # antisymmetry makes the order rows distinct
-    regenerated = BlockCode._trusted(tuple(Codeword.of(r, n) for r in sorted(rows, reverse=True)))
+    regenerated = BlockCode.of(sorted(rows, reverse=True), n)
     mismatches = tuple(
-        RowMismatch(k, w, Codeword.of(r, n))
-        for k, (w, r) in enumerate(zip(sorted_code.words, rows))
-        if w.value != r
+        RowMismatch(k, Codeword.of(w, n), Codeword.of(r, n))
+        for k, (w, r) in enumerate(zip(sorted_code.values, rows))
+        if w != r
     )
     exact = regenerated == sorted_code
     return RoundTripReport(exact, regenerated, mismatches, not mismatches)

@@ -15,7 +15,7 @@ import textwrap
 from typing import Iterable, Iterator
 
 from .algebra import CayleyAlgebra
-from .codes import BlockCode, Codeword
+from .codes import BlockCode
 from .encode import BckFunction
 from .errors import ParseError
 
@@ -76,7 +76,7 @@ def render_algebra(alg: CayleyAlgebra, header: str | None = None) -> str:
 
 
 def parse_code(text: str) -> BlockCode:
-    words = []
+    values = []
     seen = set()
     length = None
     for lineno, line in _data_lines(text):
@@ -94,17 +94,17 @@ def parse_code(text: str) -> BlockCode:
         if line in seen:
             raise ParseError(f"duplicate codeword {line}", lineno)
         seen.add(line)
-        words.append(Codeword.of(int(line, 2), len(line)))
-    if not words:
+        values.append(int(line, 2))
+    if not values:
         raise ParseError("no codewords in code input")
-    return BlockCode(tuple(words))
+    return BlockCode.of(values, length)
 
 
 def render_code(code: BlockCode, header: str | None = None) -> str:
     out = []
     if header:
         out.append(f"# {header}")
-    out.extend(str(w) for w in code.words)
+    out.extend(code.strings())
     return "\n".join(out) + "\n"
 
 

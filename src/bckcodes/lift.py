@@ -15,13 +15,10 @@ from dataclasses import dataclass
 from .algebra import CayleyAlgebra, Poset
 from .codes import (
     BlockCode,
-    Codeword,
-    bit_positions,
     embed_matrix,
     ensure_all_ones,
     enumerate_triangular_codes,
     lex_sort_desc,
-    pack_bits,
     staircase_code,
 )
 from .construct import algebra_from_poset, construct_from_code
@@ -54,7 +51,7 @@ def lift_code(v: BlockCode) -> LiftResult:
     """Lift ``v`` into the triangular family; `InputError`, before any
     matrix is built, when the ambient order would exceed `io.MAX_ORDER`."""
     # the rows of [[I, A], [0, I]], plus an all-ones row unless A is one all-ones word
-    order = len(v) + v.length + (len(v) > 1 or "0" in str(v.words[0]))
+    order = len(v) + v.length + (len(v) > 1 or v.values[0] != (1 << v.length) - 1)
     if order > MAX_ORDER:
         raise InputError(f"ambient order {order} exceeds the bound {MAX_ORDER}")
     sorted_v = lex_sort_desc(v)
@@ -62,17 +59,16 @@ def lift_code(v: BlockCode) -> LiftResult:
     ambient = ensure_all_ones(embedded)
 
     result = construct_from_code(ambient)
-    column_map = tuple(range(order - sorted_v.length, order))
+    m = sorted_v.length
+    column_map = tuple(range(order - m, order))
     names = result.algebra.names
     domain = tuple(names[e] for e in column_map)
     function = BckFunction(domain, result.algebra, column_map)
-    # element r's word on column e is bit e of its order row r
-    ones = (set(bit_positions(r, order)) for r in result.poset.rows)
-    words = sorted({pack_bits(e in s for e in column_map) for s in ones}, reverse=True)
-    # distinct: drawn from a set
-    lifted = BlockCode._trusted(tuple(Codeword.of(w, sorted_v.length) for w in words))
+    # element r's word on the last m columns is the low m bits of its order row
+    words = {r & (1 << m) - 1 for r in result.poset.rows}
+    lifted = BlockCode.of(sorted(words, reverse=True), m)
 
-    missing = set(sorted_v.words) - set(lifted.words)
+    missing = set(sorted_v.values) - set(lifted.values)
     if missing:
         raise InternalInvariantError(
             f"lifted code lost {len(missing)} input codeword(s)"
@@ -108,8 +104,8 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
         raise InputError("family_algebra supports 1 <= n <= 6")
 
     members = [lex_sort_desc(c) for c in enumerate_triangular_codes(n)]
-    packed = sorted((tuple(w.value for w in c.words) for c in members), reverse=True)
-    if packed[0] != tuple(w.value for w in staircase_code(n).words):
+    packed = sorted((c.values for c in members), reverse=True)
+    if packed[0] != staircase_code(n).values:
         raise InternalInvariantError("family maximum is not the staircase code")
     size = len(packed)
     rows = [0] * size
@@ -140,5 +136,4 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
     poset = Poset.of(rows)
     if poset.minimum != 0:
         raise InternalInvariantError("staircase code is not the order minimum")
-    code = tuple(Codeword.of(r, size) for r in sorted(poset.rows, reverse=True))
-    return algebra_from_poset(poset), BlockCode(code)
+    return algebra_from_poset(poset), BlockCode.of(sorted(poset.rows, reverse=True), size)

@@ -225,6 +225,48 @@ def test_codeword_of_rejects_values_that_do_not_fit(value, length):
         bc.Codeword.of(value, length)
 
 
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True),
+        )
+    )
+)
+def test_block_code_constructors_agree(case):
+    n, values = case
+    strings = tuple(format(v, f"0{n}b") for v in values)
+    words = tuple(bc.Codeword.of(v, n) for v in values)
+    by_words = bc.BlockCode(words)
+    by_values = bc.BlockCode.of(values, n)
+    by_strings = bc.BlockCode.from_strings(strings)
+    for code in (by_words, by_values, by_strings):
+        assert code == by_words
+        assert hash(code) == hash(by_words)
+        assert code.values == tuple(values)
+        assert code.length == n
+        assert code.words == words
+        assert code.strings() == strings
+        assert len(code) == len(values)
+    assert bc.BlockCode.of(values, n + 1) != by_values
+
+
+@pytest.mark.parametrize(
+    "values,length,message",
+    [
+        ((), 3, "a block code needs at least one codeword"),
+        ((1, -1), 3, "value -1 does not fit in 3 bits"),
+        ((1, 8), 3, "value 8 does not fit in 3 bits"),
+        ((0,), 0, "value 0 does not fit in 0 bits"),
+        ((5, 3, 5), 3, "duplicate codeword"),
+    ],
+)
+def test_block_code_of_rejects_bad_values(values, length, message):
+    with pytest.raises(bc.InputError) as exc:
+        bc.BlockCode.of(values, length)
+    assert str(exc.value) == message
+
+
 def _reference_is_triangular(code):
     """Membership read off the bit matrix of the lex-descending code."""
     n = code.length

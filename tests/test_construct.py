@@ -286,3 +286,47 @@ def test_exact_roundtrip_counts(n):
     reports = [bc.verify_roundtrip(c) for c in bc.enumerate_triangular_codes(n)]
     assert sum(r.exact for r in reports) == _EXACT_ROUNDTRIPS[n - 1]
     assert all(r.exact == r.self_describing for r in reports)
+
+
+def test_roundtrip_builds_codewords_only_for_mismatches(monkeypatch):
+    calls = 0
+    of = bc.Codeword.of
+
+    def counting(cls, value, length):
+        nonlocal calls
+        calls += 1
+        return of(value, length)
+
+    monkeypatch.setattr(bc.Codeword, "of", classmethod(counting))
+    mismatches = 0
+    for code in bc.enumerate_triangular_codes(7):
+        before = calls
+        report = bc.verify_roundtrip(code)
+        assert calls - before == 2 * len(report.mismatches)
+        mismatches += len(report.mismatches)
+    assert mismatches > 0
+    assert calls == 2 * mismatches
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: bc.staircase_code(0), bc.InputError, "n must be positive"),
+        (lambda: next(bc.iter_posets_with_minimum(0)), bc.InputError, "n must be positive"),
+        (
+            lambda: bc.label_canonical_code(bc.CayleyAlgebra(((0, 0), (0, 0)))),
+            bc.NotBckError,
+            "label_canonical_code requires a BCK-algebra",
+        ),
+        (
+            lambda: bc.Poset(((True, False), (True,))),
+            bc.InputError,
+            "relation matrix must be square and non-empty",
+        ),
+    ],
+    ids=["staircase", "posets", "label-canonical", "poset-shape"],
+)
+def test_input_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

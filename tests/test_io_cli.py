@@ -689,3 +689,14 @@ def test_python_m_bckcodes_prints_the_readme_output():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    def broken(n):
+        raise bc.InternalInvariantError("family maximum is not the staircase code")
+
+    monkeypatch.setattr(cli, "family_algebra", broken)
+    assert main(["enumerate", "--family", "--order", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: family maximum is not the staircase code\n"
+    assert captured.out == ""
