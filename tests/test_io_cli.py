@@ -274,6 +274,25 @@ def test_cli_verify_runs_each_property_scan_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["commutative_witness", "implicative_witness"]
 
 
+@pytest.fixture(scope="module")
+def order_1024_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify") / "alg.txt"
+    path.write_text(io.render_algebra(bc.pointwise_function_algebra(10)))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "3faebe37671eca0a75c7f82c3d647d46"),
+    (["--json"], "f4f0f5054c009dd54d10a6d304eca1dd"),
+], ids=["text", "json"])
+def test_cli_verify_order_1024_output_is_pinned(order_1024_path, flags, digest, capsys):
+    # the array path's axiom-1 proof must print what the axiom-1 scan printed
+    bc.check_axioms.cache_clear()
+    assert main(["verify", order_1024_path, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_cli_verify_stdin(monkeypatch, capsys):
     monkeypatch.setattr(
         "sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(ALG4_TEXT.encode()), encoding="utf-8")

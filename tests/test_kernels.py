@@ -1,7 +1,7 @@
 """Tests of the kernels: the axiom scan's two paths and the search stream."""
 
 import random
-
+import numpy as np
 import pytest
 
 import bckcodes as bc
@@ -77,7 +77,37 @@ def _near_valid_cases():
         edited = [list(row) for row in table]
         edited[top][1] = top
         cases.append(_relabeled(edited, rng))
+    # Each product keeps two of axiom 2, exchange and right monotonicity,
+    # and fails axiom 1, so the proof needs all three.
+    cases.append(_times_indicator([[0, 0], [1, 1]], 4))  # not axiom 2
+    cases.append(_times_indicator([[0, 0, 0], [1, 0, 1], [2, 1, 0]], 4))  # not exchange
+    cases.append(_exchange_without_monotonicity())
     return cases
+
+
+def _times_indicator(q, k):
+    """The direct product of table q and the order-2**k indicator algebra.
+
+    Element (i, j) is coded 2**k * i + j.  The indicator algebra is BCK,
+    so each axiom, exchange and right monotonicity holds in the product
+    exactly when it holds in q.
+    """
+    p = bc.pointwise_function_algebra(k).table
+    m = len(p)
+    return [
+        [m * qv + pv for qv in q_row for pv in p_row]
+        for q_row in q
+        for p_row in p
+    ]
+
+
+def _exchange_without_monotonicity():
+    """An order-32 table with axiom 2 and exchange but not monotonicity.
+
+    Its order-4 factor has 3*1 = 0 but (3*2)*(1*2) = 1*0 = 1.  Its first
+    axiom-1 witness is (24, 16, 8).
+    """
+    return _times_indicator([[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 1, 0]], 3)
 
 
 def _scans(t):
@@ -106,6 +136,109 @@ def test_array_scans_match_plain_loops_on_near_valid_tables(monkeypatch):
     bck_props = [props for axioms, props in arrays if axioms == (None,) * 5]
     for i in (0, 1):
         assert {p[i] is None for p in bck_props} == {True, False}
+
+
+def _proof_step(t):
+    """The step that decides axiom 1 on the array path."""
+    exchange, monotone = _proof_helpers(t)
+    if not brute_axiom_holds(t, 2):
+        return "axiom 2 fails"
+    if not exchange:
+        return "exchange fails"
+    if not monotone:
+        return "monotonicity fails"
+    return "proved"
+
+
+def test_near_valid_cases_reach_every_step_of_the_axiom1_proof():
+    # the test above matches these cases' witnesses against the loops
+    cases = _near_valid_cases()
+    steps = [_proof_step(t) for t in cases]
+    assert set(steps) == {
+        "axiom 2 fails", "exchange fails", "monotonicity fails", "proved"
+    }
+    for t, step in zip(cases, steps):
+        assert step != "proved" or brute_axiom_holds(t, 1)
+
+
+def test_the_proof_spares_the_axiom1_scan_on_bck_tables(monkeypatch):
+    def refuse(T):
+        raise AssertionError("the axiom-1 scan ran")
+
+    rng = random.Random(5)
+    tables = [_relabeled(bc.pointwise_function_algebra(k).table, rng) for k in (5, 6)]
+    tables.append(bc.algebra_from_poset(chain_poset(40)).table)
+    scan = pure._axiom1_witness_numpy
+    monkeypatch.setattr(pure, "_axiom1_witness_numpy", refuse)
+    for t in tables:
+        assert pure.axiom_witnesses(t) == (None,) * 5
+    calls = []
+    monkeypatch.setattr(
+        pure, "_axiom1_witness_numpy", lambda T: calls.append(len(T)) or scan(T)
+    )
+    assert pure.axiom_witnesses(_exchange_without_monotonicity())[0] == (24, 16, 8)
+    assert calls == [32]
+
+
+def _proof_identities(t):
+    """Whether exchange and right monotonicity hold, over n x n x n arrays."""
+    T = np.asarray(t)
+    xyz = T[T]  # xyz[x, y, z] = (x*y)*z
+    cut = T[T[:, None, :], T[None, :, :]]  # cut[a, b, c] = (a*c)*(b*c)
+    return bool((xyz == xyz.transpose(0, 2, 1)).all()), bool((cut[T == 0] == 0).all())
+
+
+def _proof_helpers(t):
+    T = np.asarray(t, dtype=np.int32)
+    return pure._exchange_holds(T), pure._right_monotone(T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_axiom1_proof_succeeds_on_every_small_bck_table(n):
+    for t in pure.bck_candidates(n):
+        assert _proof_helpers(t) == (True, True)
+
+
+def test_proof_helpers_match_their_definitions_across_blocks():
+    # An order-131 chain, as it is and with one cell edited.  Setting
+    # top*(B-1) = B+1, for the block size B, breaks exchange only where
+    # one of y and z is B-1, the last of its block, and the other lies in
+    # a later block.  Random edits fall in the last, partial block.
+    rng = random.Random(17)
+    block = pure._BLOCK
+    n = 2 * block + 3
+    chain = bc.algebra_from_poset(chain_poset(n)).table
+    edits = [None, (n - 1, block - 1, block + 1)]
+    for _ in range(10):
+        x, y = (rng.randrange(2 * block, n) for _ in "xy")
+        edits.append((x, y, rng.randrange(n)))
+    seen = set()
+    for edit in edits:
+        t = [list(row) for row in chain]
+        if edit:
+            x, y, v = edit
+            t[x][y] = v
+        identities = _proof_identities(t)
+        assert _proof_helpers(t) == identities
+        seen.add(identities)
+    assert {e for e, _ in seen} == {m for _, m in seen} == {True, False}
+
+
+def test_axiom1_proof_is_sound_on_near_valid_tables():
+    # Each helper agrees with its definition, and whenever axiom 2 and
+    # both helpers hold, the axiom-1 loop scan finds no witness.
+    rng = random.Random(13)
+    seen = set()
+    for i in range(100_000):
+        n = 2 + i % 4
+        t = _random_near_valid_table(rng, n)
+        if not brute_axiom_holds(t, 2):
+            continue
+        identities = _proof_identities(t)
+        assert _proof_helpers(t) == identities
+        assert identities != (True, True) or pure._axiom1_witness_loops(t) is None
+        seen.add(identities)
+    assert len(seen) == 4
 
 
 def test_pure_witnesses_match_is_bck():
