@@ -23,13 +23,24 @@ identity (x*y)*z = (x*z)*y holds, and right multiplication is monotone
 by exchange and then monotonicity applied to (x*(x*z))*z = 0, which is
 axiom 2.  Every BCK table satisfies all three.  Exchange is one cubic
 check with two gathers per instance, half the instances by its symmetry
-in y and z, against three gathers for the axiom-1 scan; monotonicity
-costs n per pair with a*b = 0.  When the proof fails, the axiom-1 scan
-runs, one x at a time, and finds the first witness.
+in y and z, against three gathers for the axiom-1 scan.  When the proof
+fails, the axiom-1 scan runs, one x at a time, and finds the first
+witness.
+
+Monotonicity costs n per pair it checks, and it need not check every
+pair with a*b = 0.  When axioms 3 and 4 hold and that relation is
+transitive, it is a finite partial order, the transitive closure of its
+covering pairs (Davey and Priestley, Introduction to Lattices and Order,
+ch. 1): every a < b is a chain of covers, so monotonicity on each cover
+and transitivity give (a*c)*(b*c) = 0, and a = b is axiom 3.  Then only
+the covers are checked, 5,120 pairs instead of 58,025 on the order-1024
+indicator algebra and 1,023 instead of 524,800 on the 1024-chain;
+otherwise every pair is.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -51,9 +62,14 @@ def _axiom1_witness_loops(t: Sequence[Sequence[int]]):
     return None
 
 
-def _axiom1_witness_numpy(table):
+def _array(table):
+    """The table as an n x n int32 array."""
+    n = len(table)
+    return np.fromiter(chain.from_iterable(table), np.int32, n * n).reshape(n, n)
+
+
+def _axiom1_witness_numpy(T):
     # Indices into T.ravel() are int32 too, which holds n*n up to n = 46340.
-    T = np.asarray(table, dtype=np.int32)
     n = len(T)
     scaled = T * n  # scaled[x, y] is where row x*y starts in T.ravel()
     zy = np.ascontiguousarray(T.T)  # zy[y, z] = z*y
@@ -98,11 +114,39 @@ def _exchange_holds(T):
     return True
 
 
-def _right_monotone(T):
-    """Whether a*b = 0 implies (a*c)*(b*c) = 0 for all c, on an int32 table array."""
+def _covers(zero):
+    """The pairs (a, b) where b covers a in ``zero``, or None when it is not transitive.
+
+    ``zero`` is a reflexive and antisymmetric boolean relation, a <= b
+    when zero[a, b].  Each row is packed into bits.  Everything above
+    something strictly above a is the OR of the strict rows of a's strict
+    up-set: the relation is transitive exactly when that union lies in
+    row a, and the covers of a are the rest of its strict up-set.
+    """
+    n = len(zero)
+    strict = zero.copy()
+    np.fill_diagonal(strict, False)
+    rows, up = np.packbits(strict, axis=1), np.packbits(zero, axis=1)
+    cover = np.empty_like(rows)
+    for a in range(n):
+        above = np.bitwise_or.reduce(rows[strict[a]], axis=0)
+        if (above & ~up[a]).any():
+            return None
+        np.bitwise_and(rows[a], ~above, out=cover[a])
+    return np.nonzero(np.unpackbits(cover, axis=1, count=n))
+
+
+def _right_monotone(T, ordered):
+    """Whether a*b = 0 implies (a*c)*(b*c) = 0 for all c, on an int32 table array.
+
+    With ``ordered``, the caller knows axioms 3 and 4 hold, and only the
+    covers are checked when the relation is transitive.
+    """
     n = len(T)
     cells = T.astype(np.min_scalar_type(n - 1)).ravel()
-    a, b = np.nonzero(T == 0)
+    zero = T == 0
+    pairs = _covers(zero) if ordered else None
+    a, b = np.nonzero(zero) if pairs is None else pairs
     for i in range(0, len(a), _BLOCK):
         at = T[a[i : i + _BLOCK]] * n  # where row a*c starts in cells
         at += T[b[i : i + _BLOCK]]
@@ -120,20 +164,20 @@ def _first(mask):
 
 
 def _axiom_witnesses_numpy(table):
-    T = np.asarray(table, dtype=np.int32)
+    T = _array(table)
     left = np.take_along_axis(T, T, axis=1)  # x*(x*y)
     zero = T == 0
     distinct_zero = zero & zero.T
     np.fill_diagonal(distinct_zero, False)
     w2 = _first(np.take_along_axis(T, left, axis=0) != 0)
-    proved = w2 is None and _exchange_holds(T) and _right_monotone(T)
-    return (
-        None if proved else _axiom1_witness_numpy(T),
-        w2,
-        _first(T.diagonal() != 0),
-        _first(distinct_zero),
-        _first(T[0] != 0),
+    w3 = _first(T.diagonal() != 0)
+    w4 = _first(distinct_zero)
+    proved = (
+        w2 is None
+        and _exchange_holds(T)
+        and _right_monotone(T, ordered=w3 is None and w4 is None)
     )
+    return (None if proved else _axiom1_witness_numpy(T), w2, w3, w4, _first(T[0] != 0))
 
 
 def axiom_witnesses(table: Sequence[Sequence[int]]):
@@ -174,7 +218,7 @@ def commutative_witness(table: Sequence[Sequence[int]]):
     means on a table that is not BCK.
     """
     if len(table) >= _NUMPY_MIN_ORDER:
-        T = np.asarray(table, dtype=np.int32)
+        T = _array(table)
         left = np.take_along_axis(T, T, axis=1)  # x*(x*y)
         return _first(left != left.T)
     t = table
@@ -196,7 +240,7 @@ def implicative_witness(table: Sequence[Sequence[int]]):
     """
     n = len(table)
     if n >= _NUMPY_MIN_ORDER:
-        T = np.asarray(table, dtype=np.int32)
+        T = _array(table)
         back = np.take_along_axis(T, T.T, axis=1)  # x*(y*x)
         return _first(back != np.arange(n)[:, None])
     t = table

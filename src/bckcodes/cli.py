@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress
+from operator import not_
 
 from . import io
 from .algebra import (
     PropertyCheck,
     check_axioms,
-    induced_order,
     is_commutative,
     is_implicative,
 )
 from .census import census
-from .codes import bit_positions, enumerate_triangular_codes
+from .codes import enumerate_triangular_codes
 from .construct import _roundtrip, construct_from_code
 from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
@@ -67,8 +68,14 @@ def cmd_verify(args) -> int:
     if report.is_bck:
         comm = is_commutative(alg)
         impl = is_implicative(alg)
-        up = [bit_positions(r, alg.order) for r in induced_order(alg).rows]
-        pairs = [(x, y) for x, ys in enumerate(up) for y in ys if y != x]
+        # On a BCK table x*y = 0 is the induced partial order, just proved.
+        n = alg.order
+        pairs = [
+            (x, y)
+            for x, row in enumerate(alg.table)
+            for y in compress(range(n), map(not_, row))
+            if y != x
+        ]
 
     if args.json:
         payload = {
@@ -86,9 +93,11 @@ def cmd_verify(args) -> int:
             "bck": report.is_bck,
             "commutative": _property_json(comm),
             "implicative": _property_json(impl),
-            "order_pairs": pairs,
         }
-        sys.stdout.write(io.render_report("verify", payload))
+        if pairs is None:
+            sys.stdout.write(io.render_report("verify", {**payload, "order_pairs": None}))
+        else:
+            sys.stdout.writelines(io.stream_report("verify", payload, "order_pairs", pairs))
     else:
         lines = [f"order: {alg.order}"]
         for c in report.checks:

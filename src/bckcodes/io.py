@@ -11,7 +11,6 @@ and parse back with `parse_report`.
 from __future__ import annotations
 
 import json
-import textwrap
 from typing import Iterable, Iterator
 
 from .algebra import CayleyAlgebra
@@ -46,17 +45,21 @@ def parse_algebra(text: str) -> CayleyAlgebra:
         raise ParseError(f"order {n} exceeds the bound {MAX_ORDER}", lineno)
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
+    cell = {str(v): v for v in range(n)}
     rows = []
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != n:
             raise ParseError(f"expected {n} entries, found {len(parts)}", lineno)
         try:
-            row = tuple(map(int, parts))
-        except ValueError:
-            raise ParseError("table entries must be integers", lineno) from None
-        if min(row) < 0 or max(row) >= n:
-            raise ParseError(f"table entry outside 0..{n - 1}", lineno)
+            row = tuple(map(cell.__getitem__, parts))
+        except KeyError:  # "03", "-1", "x" and the like: int decides
+            try:
+                row = tuple(map(int, parts))
+            except ValueError:
+                raise ParseError("table entries must be integers", lineno) from None
+            if min(row) < 0 or max(row) >= n:
+                raise ParseError(f"table entry outside 0..{n - 1}", lineno) from None
         rows.append(row)
     # n rows of n ints in 0..n-1, each checked above
     return CayleyAlgebra._trusted(tuple(rows))
@@ -142,14 +145,22 @@ def render_report(kind: str, payload: dict) -> str:
 def stream_report(kind: str, payload: dict, key: str, items: Iterable) -> Iterator[str]:
     """The text of `render_report` with ``payload[key]`` drawn from items.
 
-    The pieces join to ``render_report(kind, {**payload, key: list(items)})``,
-    with ``key`` not in payload, but hold only one item at a time.
+    Each item is a list or tuple of JSON scalars (ints, floats, bools,
+    None, strings).  The pieces join to
+    ``render_report(kind, {**payload, key: list(items)})``, with ``key``
+    not in payload, but hold only one item at a time.  Each item is
+    written as `json.dumps(..., indent=2)` would write it at that depth,
+    without that encoder, which is pure Python once ``indent`` is set.
     """
     head = render_report(kind, {**payload, key: []})
     yield head[: -len("]\n}\n")]
     sep = "\n"
     for item in items:
-        yield sep + textwrap.indent(json.dumps(item, indent=2), "    ")
+        if item:
+            cells = [str(v) if type(v) is int else json.dumps(v) for v in item]
+            yield f"{sep}    [\n      " + ",\n      ".join(cells) + "\n    ]"
+        else:
+            yield sep + "    []"
         sep = ",\n"
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 

@@ -21,7 +21,7 @@ from bckcodes import _kernels, cli, construct, io
 from bckcodes._kernels import pure
 from bckcodes.cli import main
 import reference_data as rd
-from test_kernels import _relabeled
+from test_kernels import _NOT_TRANSITIVE, _relabeled, _times_indicator
 
 ALG4_TEXT = "4\n0 0 0 0\n1 0 0 1\n2 1 0 2\n3 3 3 0\n"
 
@@ -108,6 +108,72 @@ def test_parse_algebra_errors(text, fragment):
     with pytest.raises(bc.ParseError) as exc:
         io.parse_algebra(text)
     assert fragment in str(exc.value)
+
+
+def _parse_algebra_reference(text):
+    """The rows as `io.parse_algebra` read them with `int`, after a valid header."""
+    (_, head), *lines = io._data_lines(text)
+    n = int(head)
+    rows = []
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != n:
+            raise bc.ParseError(f"expected {n} entries, found {len(parts)}", lineno)
+        try:
+            row = tuple(map(int, parts))
+        except ValueError:
+            raise bc.ParseError("table entries must be integers", lineno) from None
+        if min(row) < 0 or max(row) >= n:
+            raise bc.ParseError(f"table entry outside 0..{n - 1}", lineno)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except bc.ParseError as exc:
+        return str(exc), exc.line
+
+
+# Spellings `int` reads but the cell lookup does not, and tokens it rejects.
+_SPELLINGS = ["03", "+3", "-0", "+0", "00", "1_0", "\uff13", "\u0663", "4", "-1", "99",
+              "x", "1.0", "0x1", "3a", "_1"]
+
+
+def _check_parse_against_reference(text):
+    new = _parse_outcome(lambda s: io.parse_algebra(s).table, text)
+    assert new == _parse_outcome(_parse_algebra_reference, text)
+
+
+@pytest.mark.parametrize("token", _SPELLINGS)
+def test_parse_algebra_reads_every_spelling_as_int_does(token):
+    for x, y in [(0, 0), (2, 1), (3, 3)]:
+        rows = [row.split() for row in ALG4_TEXT.splitlines()[1:]]
+        rows[x][y] = token
+        _check_parse_against_reference("4\n" + "".join(" ".join(r) + "\n" for r in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.one_of(st.integers(-1, n).map(str), st.sampled_from(_SPELLINGS)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+)
+def test_parse_algebra_matches_the_int_parser(case):
+    n, rows = case
+    _check_parse_against_reference(f"{n}\n" + "".join(" ".join(r) + "\n" for r in rows))
 
 
 def test_parse_code_roundtrip():
@@ -287,10 +353,38 @@ def order_1024_path(tmp_path_factory):
 ], ids=["text", "json"])
 def test_cli_verify_order_1024_output_is_pinned(order_1024_path, flags, digest, capsys):
     # the array path's axiom-1 proof must print what the axiom-1 scan printed
+    _assert_verify_digest(order_1024_path, flags, 0, digest, capsys)
+
+
+def _assert_verify_digest(path, flags, code, digest, capsys):
     bc.check_axioms.cache_clear()
-    assert main(["verify", order_1024_path, *flags]) == 0
+    assert main(["verify", path, *flags]) == code
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "6363af4a0b869c1c27a6bbc296fedd9c"),
+    (["--json"], "d2c67cbb7e015dda96577eb065c070b7"),
+], ids=["text", "json"])
+def test_cli_verify_order_1024_chain_output_is_pinned(tmp_path, flags, digest, capsys):
+    # The most pairs with x*y = 0 at this order (524,800) and the fewest
+    # covers (1,023): the worst case for right monotonicity over all pairs.
+    n = 1024
+    chain = tuple(tuple(0 if x <= y else x for y in range(n)) for x in range(n))
+    path = _write(tmp_path, "chain.txt", io.render_algebra(bc.CayleyAlgebra(chain)))
+    _assert_verify_digest(path, flags, 0, digest, capsys)
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "1d3f7b3363478bead869157aac8646f3"),
+    (["--json"], "f5d82f9fb5a9029cfe36883809fb3034"),
+], ids=["text", "json"])
+def test_cli_verify_non_bck_order_32_output_is_pinned(tmp_path, flags, digest, capsys):
+    # not BCK, so "order_pairs" is null and render_report writes the report
+    table = tuple(map(tuple, _times_indicator(_NOT_TRANSITIVE, 3)))
+    path = _write(tmp_path, "alg.txt", io.render_algebra(bc.CayleyAlgebra(table)))
+    _assert_verify_digest(path, flags, 1, digest, capsys)
 
 
 def test_cli_verify_stdin(monkeypatch, capsys):
@@ -563,6 +657,16 @@ def test_cli_enumerate_codes_json_streams_the_report(n, capsys):
 def test_stream_report_joins_to_render_report(items):
     pieces = io.stream_report("codes", {"order": 2}, "codes", iter(items))
     assert "".join(pieces) == io.render_report("codes", {"order": 2, "codes": items})
+
+
+_json_scalars = st.one_of(st.integers(), st.booleans(), st.none(), st.text(), st.floats())
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.lists(_json_scalars, max_size=4), st.tuples(_json_scalars, _json_scalars))))
+def test_stream_report_joins_to_render_report_on_any_flat_items(items):
+    pieces = io.stream_report("verify", {"bck": True}, "order_pairs", iter(items))
+    assert "".join(pieces) == io.render_report("verify", {"bck": True, "order_pairs": items})
 
 
 _family_lines = (

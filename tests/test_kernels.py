@@ -35,7 +35,7 @@ def test_axiom1_numpy_walk_matches_plain_loops():
     for n in [1, 2, 4, 7, 32, 40]:
         for _ in range(25):
             t = _random_table(rng, n)
-            assert pure._axiom1_witness_numpy(t) == pure._axiom1_witness_loops(t)
+            assert pure._axiom1_witness_numpy(pure._array(t)) == pure._axiom1_witness_loops(t)
 
 
 def _relabeled(table, rng):
@@ -82,7 +82,14 @@ def _near_valid_cases():
     cases.append(_times_indicator([[0, 0], [1, 1]], 4))  # not axiom 2
     cases.append(_times_indicator([[0, 0, 0], [1, 0, 1], [2, 1, 0]], 4))  # not exchange
     cases.append(_exchange_without_monotonicity())
+    cases.append(_times_indicator(_NOT_TRANSITIVE, 3))
     return cases
+
+
+# Axioms 2-5 and exchange hold, but a*b = 0 is not transitive: 3*2 = 0
+# and 2*1 = 0, yet 3*1 = 3.  So right monotonicity cannot check covers
+# only; here it fails, at 2*1 = 0 with c = 2.
+_NOT_TRANSITIVE = [[0, 0, 0, 0], [1, 0, 1, 1], [2, 0, 0, 2], [3, 3, 0, 0]]
 
 
 def _times_indicator(q, k):
@@ -150,7 +157,13 @@ def _proof_step(t):
     return "proved"
 
 
-def test_near_valid_cases_reach_every_step_of_the_axiom1_proof():
+def _transitive(t):
+    n = len(t)
+    up = [{y for y in range(n) if t[x][y] == 0} for x in range(n)]
+    return all(up[y] <= up[x] for x in range(n) for y in up[x])
+
+
+def test_near_valid_cases_reach_every_step_of_the_axiom1_proof(monkeypatch):
     # the test above matches these cases' witnesses against the loops
     cases = _near_valid_cases()
     steps = [_proof_step(t) for t in cases]
@@ -159,6 +172,65 @@ def test_near_valid_cases_reach_every_step_of_the_axiom1_proof():
     }
     for t, step in zip(cases, steps):
         assert step != "proved" or brute_axiom_holds(t, 1)
+
+    # Right monotonicity checks the covers only when axioms 3 and 4 hold
+    # and a*b = 0 is transitive, and every pair otherwise; both run.
+    monotone, covers = pure._right_monotone, pure._covers
+    calls = []
+    monkeypatch.setattr(
+        pure, "_right_monotone", lambda T, ordered: calls.append([ordered]) or monotone(T, ordered)
+    )
+    monkeypatch.setattr(pure, "_covers", lambda zero: calls[-1].append(covers(zero)) or calls[-1][-1])
+    routes = set()
+    for t in cases:
+        calls.clear()
+        pure.axiom_witnesses(t)
+        if not calls:
+            continue
+        [[ordered, *found]] = calls
+        assert ordered == (brute_axiom_holds(t, 3) and brute_axiom_holds(t, 4))
+        assert len(found) == ordered
+        if not ordered:
+            route = "all pairs: axiom 3 or 4 fails"
+        elif _transitive(t):
+            route = "covers"
+        else:
+            route = "all pairs: not transitive"
+        assert (found == [None]) == (route == "all pairs: not transitive")
+        routes.add(route)
+    assert routes == {"covers", "all pairs: axiom 3 or 4 fails", "all pairs: not transitive"}
+
+
+def _hasse(table):
+    """The covering pairs of the induced order, by brute force."""
+    leq = bc.induced_order(bc.CayleyAlgebra(table)).leq
+    n = len(leq)
+    return {
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and leq[a][b]
+        and not any(leq[a][c] and leq[c][b] for c in range(n) if c not in (a, b))
+    }
+
+
+def _cover_set(table):
+    a, b = pure._covers(pure._array(table) == 0)
+    return set(zip(a.tolist(), b.tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_covers_are_the_hasse_diagram_on_small_bck_tables(n):
+    for t in pure.bck_candidates(n):
+        assert _cover_set(t) == _hasse(t)
+
+
+def test_covers_are_the_hasse_diagram_on_large_bck_tables():
+    rng = random.Random(5)
+    tables = [_relabeled(bc.pointwise_function_algebra(k).table, rng) for k in (5, 6)]
+    tables.append(bc.algebra_from_poset(chain_poset(40)).table)
+    for t in tables:
+        assert _cover_set(t) == _hasse(t)
 
 
 def test_the_proof_spares_the_axiom1_scan_on_bck_tables(monkeypatch):
@@ -189,8 +261,9 @@ def _proof_identities(t):
 
 
 def _proof_helpers(t):
-    T = np.asarray(t, dtype=np.int32)
-    return pure._exchange_holds(T), pure._right_monotone(T)
+    T = pure._array(t)
+    ordered = brute_axiom_holds(t, 3) and brute_axiom_holds(t, 4)
+    return pure._exchange_holds(T), pure._right_monotone(T, ordered)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -226,9 +299,12 @@ def test_proof_helpers_match_their_definitions_across_blocks():
 
 def test_axiom1_proof_is_sound_on_near_valid_tables():
     # Each helper agrees with its definition, and whenever axiom 2 and
-    # both helpers hold, the axiom-1 loop scan finds no witness.
+    # both helpers hold, the axiom-1 loop scan finds no witness.  Where
+    # axioms 3 and 4 hold and a*b = 0 is transitive, monotonicity checked
+    # on the covers alone agrees with the definition too.
     rng = random.Random(13)
     seen = set()
+    covered = set()
     for i in range(100_000):
         n = 2 + i % 4
         t = _random_near_valid_table(rng, n)
@@ -238,7 +314,10 @@ def test_axiom1_proof_is_sound_on_near_valid_tables():
         assert _proof_helpers(t) == identities
         assert identities != (True, True) or pure._axiom1_witness_loops(t) is None
         seen.add(identities)
+        if brute_axiom_holds(t, 4) and _transitive(t):
+            covered.add(identities[1])
     assert len(seen) == 4
+    assert covered == {True, False}
 
 
 def test_pure_witnesses_match_is_bck():
