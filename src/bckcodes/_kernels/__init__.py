@@ -1,4 +1,4 @@
-"""The table search, the axiom scan and the property scan.
+"""The table search, the axiom scan and the two property scans.
 
 The kernels live in the submodule `pure`; this package re-exports them
 so that callers, and call tracing, go through `bckcodes._kernels`.

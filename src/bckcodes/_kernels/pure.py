@@ -8,10 +8,10 @@ naturally labeled Cayley tables of a given order that satisfy all five
 axioms, one or more per isomorphism class, in a fixed depth-first order.
 
 The axiom-1 scan is cubic in the order.  From order `_NUMPY_MIN_ORDER`
-up, each scan copies the table once into an int32 array and runs on it
-with whole-table numpy operations; below that it indexes the rows in
+up, the axiom scan copies the table once into an int32 array and runs on
+it with whole-table numpy operations; below that it indexes the rows in
 plain loops.  Witnesses stay lexicographically first in (x, y, z)
-either way.
+either way.  The property scans run on the array at every order.
 
 On the array path axiom 1 is first decided by a theorem (Iseki and
 Tanaka, Math. Japonica 23, 1978).  If axiom 2 holds, the exchange
@@ -217,20 +217,9 @@ def commutative_witness(table: Sequence[Sequence[int]]):
     The scan does not check the axioms; callers decide what the answer
     means on a table that is not BCK.
     """
-    if len(table) >= _NUMPY_MIN_ORDER:
-        T = _array(table)
-        left = np.take_along_axis(T, T, axis=1)  # x*(x*y)
-        return _first(left != left.T)
-    t = table
-    return next(
-        (
-            (x, y)
-            for x, row in enumerate(t)
-            for y, v in enumerate(row)
-            if row[v] != t[y][t[y][x]]
-        ),
-        None,
-    )
+    T = _array(table)
+    left = np.take_along_axis(T, T, axis=1)  # x*(x*y)
+    return _first(left != left.T)
 
 
 def implicative_witness(table: Sequence[Sequence[int]]):
@@ -238,16 +227,9 @@ def implicative_witness(table: Sequence[Sequence[int]]):
 
     Like `commutative_witness`, the scan does not check the axioms.
     """
-    n = len(table)
-    if n >= _NUMPY_MIN_ORDER:
-        T = _array(table)
-        back = np.take_along_axis(T, T.T, axis=1)  # x*(y*x)
-        return _first(back != np.arange(n)[:, None])
-    t = table
-    return next(
-        ((x, y) for x, row in enumerate(t) for y in range(n) if row[t[y][x]] != x),
-        None,
-    )
+    T = _array(table)
+    back = np.take_along_axis(T, T.T, axis=1)  # x*(y*x)
+    return _first(back != np.arange(len(T))[:, None])
 
 
 def table_is_bck(table: Sequence[Sequence[int]]) -> bool:

@@ -66,11 +66,6 @@ class CayleyAlgebra:
     def order(self) -> int:
         return len(self.table)
 
-    def element_name(self, x: int) -> str:
-        if self.names is not None:
-            return self.names[x]
-        return str(x)
-
 
 def _checked_names(names, n: int) -> tuple[str, ...] | None:
     """``names`` as n strings (None stays None); `InputError` on a wrong count."""
@@ -130,37 +125,17 @@ class Poset:
     """A finite partial order on 0..n-1 as one codeword per element.
 
     Bit y of ``rows[x]`` is set iff x <= y, bit 0 the most significant
-    of n bits as in `Codeword`.  Construction, from a boolean matrix or
-    with `of` from the rows, validates reflexivity, antisymmetry and
-    transitivity.  ``minimum`` is detected automatically; passing it
-    explicitly just asserts the detected value.  The library skips the
-    validation only for orders a theorem makes partial (see `_trusted`).
+    of n bits as in `Codeword`.  Construction validates reflexivity,
+    antisymmetry and transitivity; ``minimum`` is the element below
+    every other, or None.  The library skips the validation only for
+    orders a theorem makes partial (see `_trusted`).
     """
 
     rows: tuple[int, ...]
     minimum: int | None
 
-    def __init__(self, leq, minimum: int | None = None):
-        matrix = tuple(tuple(bool(v) for v in row) for row in leq)
-        if any(len(row) != len(matrix) for row in matrix):
-            raise InputError("relation matrix must be square and non-empty")
-        self._validate(tuple(pack_bits(row) for row in matrix), minimum)
-
-    @classmethod
-    def of(cls, rows, minimum: int | None = None) -> "Poset":
-        """The poset whose row x has bit y set iff x <= y."""
-        p = object.__new__(cls)
-        p._validate(tuple(rows), minimum)
-        return p
-
-    @classmethod
-    def _trusted(cls, rows: tuple[int, ...]) -> "Poset":
-        """The poset of ``rows``, already known to be a partial order; unchecked."""
-        p = object.__new__(cls)
-        p._store(rows)
-        return p
-
-    def _validate(self, rows: tuple[int, ...], minimum: int | None) -> None:
+    def __init__(self, rows):
+        rows = tuple(rows)
         n = len(rows)
         if n == 0 or any(not 0 <= r < 2**n for r in rows):
             raise InputError("relation matrix must be square and non-empty")
@@ -180,8 +155,13 @@ class Poset:
                 z = bit_positions(reach & ~rows[x], n)[0]
                 raise InputError(f"relation is not transitive at ({x}, {z})")
         self._store(rows)
-        if minimum is not None and minimum != self.minimum:
-            raise InputError(f"element {minimum} is not the minimum of the relation")
+
+    @classmethod
+    def _trusted(cls, rows: tuple[int, ...]) -> "Poset":
+        """The poset of ``rows``, already known to be a partial order; unchecked."""
+        p = object.__new__(cls)
+        p._store(rows)
+        return p
 
     def _store(self, rows: tuple[int, ...]) -> None:
         """Set ``rows`` and the detected ``minimum``, the row with every bit set."""
@@ -193,15 +173,6 @@ class Poset:
     @property
     def order(self) -> int:
         return len(self.rows)
-
-    @functools.cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """The relation as a boolean matrix: ``leq[x][y]`` iff x <= y."""
-        ups = (set(bit_positions(r, self.order)) for r in self.rows)
-        return tuple(tuple(y in ys for y in range(self.order)) for ys in ups)
-
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
 
 
 @functools.lru_cache(maxsize=256)
@@ -256,9 +227,7 @@ def induced_order(alg: CayleyAlgebra) -> Poset:
     breach rather than an input error.
     """
     try:
-        poset = Poset.of(
-            int("".join(["1" if v == 0 else "0" for v in row]), 2) for row in alg.table
-        )
+        poset = Poset(pack_bits(v == 0 for v in row) for row in alg.table)
     except InputError as exc:
         raise InternalInvariantError(
             f"induced relation is not a partial order ({exc}); input not BCK?"
@@ -290,7 +259,10 @@ def are_isomorphic(a: CayleyAlgebra, b: CayleyAlgebra) -> tuple[int, ...] | None
     return None
 
 
-def pointwise_function_algebra(k: int, *, max_bits: int = 10) -> CayleyAlgebra:
+_POINTWISE_MAX_BITS = 10  # 1024 elements, the largest table the package builds
+
+
+def pointwise_function_algebra(k: int) -> CayleyAlgebra:
     """The algebra of all {0,1}-valued tuples of length k.
 
     Elements are the 2**k bit strings in ascending binary order; bit i
@@ -298,8 +270,8 @@ def pointwise_function_algebra(k: int, *, max_bits: int = 10) -> CayleyAlgebra:
     (pointwise truncated difference).  The result is always a BCK table
     and always implicative.
     """
-    if not 1 <= k <= max_bits:
-        raise InputError(f"k must be within 1..{max_bits}")
+    if not 1 <= k <= _POINTWISE_MAX_BITS:
+        raise InputError(f"k must be within 1..{_POINTWISE_MAX_BITS}")
     size = 1 << k
     table = tuple(tuple(f & ~g for g in range(size)) for f in range(size))
     names = tuple(format(f, f"0{k}b") for f in range(size))

@@ -141,7 +141,7 @@ def iter_posets_with_minimum(n: int) -> Iterator[Poset]:
             elif state == 2:
                 rows[j] |= unit[i]
         try:
-            poset = Poset.of(rows)
+            poset = Poset(rows)
         except InputError:  # reflexive and antisymmetric by construction: not transitive
             continue
         if poset.minimum is not None:

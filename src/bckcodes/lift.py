@@ -133,7 +133,7 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
                 build(a_lo, a_hi, k + 1, mask)
 
     build(0, size, 0, 0)
-    poset = Poset.of(rows)
+    poset = Poset(rows)
     if poset.minimum != 0:
         raise InternalInvariantError("staircase code is not the order minimum")
     return algebra_from_poset(poset), BlockCode.of(sorted(poset.rows, reverse=True), size)

@@ -5,11 +5,17 @@ import pytest
 
 import bckcodes as bc
 import reference_data as rd
+from bckcodes.codes import bit_positions, pack_bits
 from test_algebra import brute_axiom_holds
 
 
+def poset_of(leq) -> bc.Poset:
+    """The poset of a boolean matrix, leq[x][y] iff x <= y, one packed row each."""
+    return bc.Poset(pack_bits(row) for row in leq)
+
+
 def chain_poset(n: int) -> bc.Poset:
-    return bc.Poset(tuple(tuple(i <= j for j in range(n)) for i in range(n)))
+    return poset_of(tuple(tuple(i <= j for j in range(n)) for i in range(n)))
 
 
 def test_chain_gives_the_standard_table():
@@ -23,13 +29,13 @@ def test_minimum_is_relocated_to_index_zero():
         (False, True, False),
         (True, True, True),
     )
-    alg = bc.algebra_from_poset(bc.Poset(leq))
+    alg = bc.algebra_from_poset(poset_of(leq))
     assert alg.table == ((0, 0, 0), (1, 0, 1), (2, 2, 0))
     assert bc.check_axioms(alg).is_bck
 
 
 def test_poset_without_minimum_is_rejected():
-    antichain = bc.Poset(((True, False), (False, True)))
+    antichain = bc.Poset((0b10, 0b01))
     with pytest.raises(bc.InputError):
         bc.algebra_from_poset(antichain)
 
@@ -80,7 +86,7 @@ def test_incomparable_variant_rule_breaks_axiom_1():
         (False, True, False),
         (False, False, True),
     )
-    poset = bc.Poset(leq)
+    poset = poset_of(leq)
     assert bc.check_axioms(bc.algebra_from_poset(poset)).is_bck
 
     # variant: incomparable pairs map to the right argument instead
@@ -104,10 +110,7 @@ def test_construct_from_reference_code(code4):
     assert result.code.strings() == rd.CODE4
     assert result.poset.minimum == 0
     pairs = tuple(
-        (x, y)
-        for x in range(4)
-        for y in range(4)
-        if x != y and result.poset.le(x, y)
+        (x, y) for x, r in enumerate(result.poset.rows) for y in bit_positions(r, 4) if y != x
     )
     assert pairs == rd.ORDER4_PAIRS
 
@@ -173,11 +176,11 @@ def test_random_posets_recover_their_order():
     for trial in range(20):
         n = rng.randint(6, 8)
         leq = _random_poset_matrix(n, rng)
-        poset = bc.Poset(leq)
+        poset = poset_of(leq)
         assert poset.minimum == 0
         alg = bc.algebra_from_poset(poset)
         assert bc.check_axioms(alg).is_bck
-        assert bc.induced_order(alg).leq == poset.leq
+        assert bc.induced_order(alg) == poset
 
 
 def _random_poset_matrix(n: int, rng: random.Random):
@@ -203,8 +206,8 @@ def _random_poset_matrix(n: int, rng: random.Random):
 
 
 def test_poset_iteration_is_deterministic():
-    first = [p.leq for p in bc.iter_posets_with_minimum(3)]
-    second = [p.leq for p in bc.iter_posets_with_minimum(3)]
+    first = [p.rows for p in bc.iter_posets_with_minimum(3)]
+    second = [p.rows for p in bc.iter_posets_with_minimum(3)]
     assert first == second
 
 
@@ -231,7 +234,7 @@ def _trusted_sample():
 def test_trusted_path_equals_the_validated_path():
     for code in _trusted_sample():
         result = bc.construct_from_code(code)
-        poset = bc.Poset.of(result.poset.rows)
+        poset = bc.Poset(result.poset.rows)
         assert result.poset == poset
         assert result.poset.minimum == poset.minimum == 0
         validated = bc.CayleyAlgebra(result.algebra.table, result.algebra.names)
@@ -271,7 +274,7 @@ def _naturally_labeled_with_minimum(n: int) -> int:
     """Posets on 0..n-1 with minimum 0 in which x <= y implies x <= y as integers."""
     count = 0
     for poset in bc.iter_posets_with_minimum(n):
-        natural = all(x <= y for x in range(n) for y in range(n) if poset.le(x, y))
+        natural = all(x <= y for x, r in enumerate(poset.rows) for y in bit_positions(r, n))
         count += poset.minimum == 0 and natural
     return count
 
@@ -319,7 +322,7 @@ def test_roundtrip_builds_codewords_only_for_mismatches(monkeypatch):
             "label_canonical_code requires a BCK-algebra",
         ),
         (
-            lambda: bc.Poset(((True, False), (True,))),
+            lambda: bc.Poset((0b100, 0b01)),
             bc.InputError,
             "relation matrix must be square and non-empty",
         ),

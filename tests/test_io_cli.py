@@ -299,7 +299,7 @@ def test_cli_verify_failure_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_cli_verify_prints_the_same_on_both_scan_paths(tmp_path, monkeypatch, perturbed):
-    # an order-64 table takes the array scans; forcing the loop scans
+    # an order-64 table takes the array axiom scan; forcing the loop scan
     # must not change a byte of either output format or the exit code
     rng = random.Random(64)
     n = 64
@@ -608,6 +608,20 @@ def test_cli_enumerate_family_order_6_output_is_pinned(flags, digest, capsys):
 def test_cli_enumerate_order_6_needs_explicit_cap(capsys):
     assert main(["enumerate", "--order", "6", "--algebras"]) == 2
     assert "--max-order 6" in capsys.readouterr().err
+
+
+def test_cli_enumerate_order_6_warns_and_allows_the_large_census(monkeypatch, capsys):
+    # a stand-in census: the order-6 one takes about 16 s
+    seen = []
+
+    def small_census(n, *, allow_large=False):
+        seen.append(allow_large)
+        return bc.census(5)
+
+    monkeypatch.setattr(cli, "census", small_census)
+    assert main(["enumerate", "--algebras", "--order", "6", "--max-order", "6"]) == 0
+    assert capsys.readouterr().err == "warning: order 6 enumeration may take a while\n"
+    assert seen == [True]
 
 
 def test_cli_enumerate_order_7_exits_2_without_a_warning(capsys):

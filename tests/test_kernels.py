@@ -1,4 +1,5 @@
-"""Tests of the kernels: the axiom scan's two paths and the search stream."""
+"""Tests of the kernels: the axiom scan's two paths, the property scans
+against plain loops, and the search stream."""
 
 import random
 import numpy as np
@@ -117,18 +118,34 @@ def _exchange_without_monotonicity():
     return _times_indicator([[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 1, 0]], 3)
 
 
-def _scans(t):
+def _property_loops(t):
+    """First (x, y) with x*(x*y) != y*(y*x), and first with x*(y*x) != x, by plain loops."""
     return (
-        pure.axiom_witnesses(t),
-        (pure.commutative_witness(t), pure.implicative_witness(t)),
+        next(
+            (
+                (x, y)
+                for x, row in enumerate(t)
+                for y, v in enumerate(row)
+                if row[v] != t[y][t[y][x]]
+            ),
+            None,
+        ),
+        next(
+            ((x, y) for x, row in enumerate(t) for y in range(len(t)) if row[t[y][x]] != x),
+            None,
+        ),
     )
+
+
+def _property_scans(t):
+    return pure.commutative_witness(t), pure.implicative_witness(t)
 
 
 def test_array_scans_match_plain_loops_on_near_valid_tables(monkeypatch):
     cases = _near_valid_cases()
-    arrays = [_scans(t) for t in cases]
+    arrays = [(pure.axiom_witnesses(t), _property_scans(t)) for t in cases]
     monkeypatch.setattr(pure, "_NUMPY_MIN_ORDER", 10**9)
-    loops = [_scans(t) for t in cases]
+    loops = [(pure.axiom_witnesses(t), _property_loops(t)) for t in cases]
     assert arrays == loops
     for t, (axioms, _) in zip(cases, arrays):
         for axiom, w in enumerate(axioms, start=1):
@@ -143,6 +160,19 @@ def test_array_scans_match_plain_loops_on_near_valid_tables(monkeypatch):
     bck_props = [props for axioms, props in arrays if axioms == (None,) * 5]
     for i in (0, 1):
         assert {p[i] is None for p in bck_props} == {True, False}
+
+
+def test_property_scans_match_plain_loops_on_small_tables():
+    rng = random.Random(29)
+    tables = [t for n in range(1, 6) for t in pure.bck_candidates(n)]
+    for n in range(1, 9):
+        for _ in range(200):
+            tables.append(_random_table(rng, n))
+            tables.append(_random_near_valid_table(rng, n))
+    found = [_property_scans(t) for t in tables]
+    assert found == [_property_loops(t) for t in tables]
+    for i in (0, 1):
+        assert {props[i] is None for props in found} == {True, False}
 
 
 def _proof_step(t):
@@ -203,7 +233,7 @@ def test_near_valid_cases_reach_every_step_of_the_axiom1_proof(monkeypatch):
 
 def _hasse(table):
     """The covering pairs of the induced order, by brute force."""
-    leq = bc.induced_order(bc.CayleyAlgebra(table)).leq
+    leq = [[v == 0 for v in row] for row in table]
     n = len(leq)
     return {
         (a, b)
