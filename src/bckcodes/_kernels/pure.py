@@ -21,11 +21,25 @@ identity (x*y)*z = (x*z)*y holds, and right multiplication is monotone
     ((x*y)*(x*z))*(z*y) = ((x*(x*z))*y)*(z*y) = 0,
 
 by exchange and then monotonicity applied to (x*(x*z))*z = 0, which is
-axiom 2.  Every BCK table satisfies all three.  Exchange is one cubic
-check with two gathers per instance, half the instances by its symmetry
-in y and z, against three gathers for the axiom-1 scan.  When the proof
-fails, the axiom-1 scan runs, one x at a time, and finds the first
-witness.
+axiom 2.  Every BCK table satisfies all three.  When the proof fails,
+the axiom-1 scan runs, one x at a time, and finds the first witness.
+
+Exchange need not be checked on every (x, y, z).  Fix x and let
+M[y][z] = (x*y)*z; exchange at x says M is symmetric.  Row y of M
+depends only on a = x*y, so pick one y = r_a for each value a in row x.
+M is symmetric as soon as M[r_a][w] = M[w][r_a] for every a and w: for
+any y, z with a = x*y and b = x*z, each step below reuses a row or
+applies that check,
+
+    M[z][y] = M[r_b][y] = M[y][r_b] = M[r_a][r_b] = M[r_b][r_a]
+            = M[z][r_a] = M[r_a][z] = M[y][z].
+
+So x costs n cells per distinct value of x*y, instead of the n*n/2
+pairs y <= z that the symmetry in y and z alone would leave.  On a BCK
+table x*y <= x in the induced order, so the values over all x number at
+most the pairs a <= x, which antisymmetry caps at n*(n+1)/2; the chain
+x*y = max(x-y, 0) reaches that cap, and the order-1024 indicator algebra
+has 3**10 = 59,049.
 
 Monotonicity costs n per pair it checks, and it need not check every
 pair with a*b = 0.  When axioms 3 and 4 hold and that relation is
@@ -46,7 +60,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 _NUMPY_MIN_ORDER = 32
-_BLOCK = 64  # rows or columns per block on the array path
+_BLOCK = 64  # pairs per block in the monotonicity check
 
 BACKEND_NAME = "pure"
 
@@ -92,25 +106,28 @@ def _axiom1_witness_numpy(T):
 def _exchange_holds(T):
     """Whether (x*y)*z = (x*z)*y for all x, y, z, on an int32 table array.
 
-    The identity is symmetric in y and z, so y runs in blocks and z only
-    from the block's first y on.  x runs in blocks too, and the values are
-    held in the narrowest unsigned type, so each step stays in cache.
+    For each x, one y per distinct value a of x*y stands for every y with
+    that value (see the module docstring): its row (x*y)*w, which is row
+    a, is compared with the column (x*w)*y.  Representatives come from a
+    scatter; whichever index a repeated value keeps will do.  The values
+    are held in the narrowest unsigned type.
     """
     n = len(T)
     small = T.astype(np.min_scalar_type(n - 1))
     cols = np.ascontiguousarray(small.T)  # cols[y][v] = v*y
-    left, right = np.empty(_BLOCK * n, small.dtype), np.empty(_BLOCK * n, small.dtype)
-    for y0 in range(0, n, _BLOCK):
-        tail = np.ascontiguousarray(small[:, y0:])  # tail[v, z - y0] = v*z
-        for x0 in range(0, n, _BLOCK):
-            xz = T[x0 : x0 + _BLOCK, y0:].astype(np.intp)
-            l, r = (b[: xz.size].reshape(xz.shape) for b in (left, right))
-            for col in cols[y0 : y0 + _BLOCK]:
-                # (x*y)*z and (x*z)*y; mode="clip" as in _axiom1_witness_numpy
-                np.take(tail, col[x0 : x0 + _BLOCK], axis=0, out=l, mode="clip")
-                np.take(col, xz, out=r, mode="clip")
-                if not np.array_equal(l, r):
-                    return False
+    first, every = np.empty(n, np.intp), np.arange(n)
+    left, picked, right = (np.empty(n * n, small.dtype) for _ in range(3))
+    for row in T:
+        first.fill(-1)
+        first[row] = every
+        values = np.flatnonzero(first >= 0)
+        l, p, r = (b[: len(values) * n].reshape(-1, n) for b in (left, picked, right))
+        # (x*y)*w and (x*w)*y; mode="clip" as in _axiom1_witness_numpy
+        np.take(small, values, axis=0, out=l, mode="clip")
+        np.take(cols, first[values], axis=0, out=p, mode="clip")
+        np.take(p, row, axis=1, out=r, mode="clip")
+        if not np.array_equal(l, r):
+            return False
     return True
 
 

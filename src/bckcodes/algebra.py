@@ -62,6 +62,15 @@ class CayleyAlgebra:
         object.__setattr__(alg, "names", names)
         return alg
 
+    # A tuple does not cache its hash, and `check_axioms` looks the
+    # algebra up on every call: hash the table once, on first use.
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.table)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def order(self) -> int:
         return len(self.table)
@@ -138,7 +147,7 @@ class Poset:
         rows = tuple(rows)
         n = len(rows)
         if n == 0 or any(not 0 <= r < 2**n for r in rows):
-            raise InputError("relation matrix must be square and non-empty")
+            raise InputError("poset rows must be non-empty and fit in n bits")
         up = [bit_positions(r, n) for r in rows]
         up_sets = [set(ys) for ys in up]
         if any(x not in ys for x, ys in enumerate(up_sets)):

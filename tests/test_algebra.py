@@ -288,7 +288,7 @@ def test_poset_rows_are_the_codewords_of_the_order():
             tuple(int(v) for v in row) for row in m
         ]
     for bad in ((), (4, 1), (-1, 1)):
-        with pytest.raises(bc.InputError, match="must be square and non-empty"):
+        with pytest.raises(bc.InputError, match="must be non-empty and fit in n bits"):
             bc.Poset(bad)
 
 
@@ -299,6 +299,27 @@ def test_names_do_not_affect_equality():
     assert hash(a) == hash(b)
     assert a.names == ("zero", "one")
     assert b.names is None
+    # equal algebras hash equal whatever their names and constructor
+    c = bc.CayleyAlgebra._trusted(((0, 0), (1, 0)), ("z", "o"))
+    assert hash(c) == hash(a) and {a, b, c} == {b}
+    assert bc.CayleyAlgebra(((0, 0), (1, 1)), names=("zero", "one")) not in {a}
+
+
+def test_an_algebra_hashes_its_table_once():
+    hashes = []
+
+    class CountingTable(tuple):
+        def __hash__(self):
+            hashes.append(self)
+            return super().__hash__()
+
+    alg = bc.CayleyAlgebra._trusted(CountingTable(((0, 0), (1, 0))))
+    bc.check_axioms.cache_clear()
+    for _ in range(3):
+        assert bc.check_axioms(alg).is_bck
+        assert bc.is_commutative(alg) and bc.is_implicative(alg)
+    assert len(hashes) == 1
+    assert bc.check_axioms.cache_info().misses == 1
 
 
 def test_check_axioms_cache_is_bounded():

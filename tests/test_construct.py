@@ -324,7 +324,7 @@ def test_roundtrip_builds_codewords_only_for_mismatches(monkeypatch):
         (
             lambda: bc.Poset((0b100, 0b01)),
             bc.InputError,
-            "relation matrix must be square and non-empty",
+            "poset rows must be non-empty and fit in n bits",
         ),
     ],
     ids=["staircase", "posets", "label-canonical", "poset-shape"],

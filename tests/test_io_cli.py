@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io as stdio
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bckcodes as bc
-from bckcodes import _kernels, cli, construct, io
+from bckcodes import _kernels, cli, construct, io, lift
 from bckcodes._kernels import pure
 from bckcodes.cli import main
 import reference_data as rd
@@ -385,6 +386,25 @@ def test_cli_verify_non_bck_order_32_output_is_pinned(tmp_path, flags, digest, c
     table = tuple(map(tuple, _times_indicator(_NOT_TRANSITIVE, 3)))
     path = _write(tmp_path, "alg.txt", io.render_algebra(bc.CayleyAlgebra(table)))
     _assert_verify_digest(path, flags, 1, digest, capsys)
+
+
+@pytest.fixture(scope="module")
+def family_6_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("family") / "family6.txt"
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["enumerate", "--family", "--order", "6"]) == 0
+    path.write_text(out.getvalue())
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "618039b77035aa394f3409cc0cfdaa52"),
+    (["--json"], "e53f34a4a02d37a257faece56813d96e"),
+], ids=["text", "json"])
+def test_cli_verify_family_6_output_is_pinned(family_6_path, flags, digest, capsys):
+    # every x*y is 0 or x, so each x reads at most two representatives
+    _assert_verify_digest(family_6_path, flags, 0, digest, capsys)
 
 
 def test_cli_verify_stdin(monkeypatch, capsys):
@@ -836,4 +856,63 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
     assert main(["enumerate", "--family", "--order", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "internal error: family maximum is not the staircase code\n"
+    assert captured.out == ""
+
+
+def _census_search_yields_a_non_bck_table(monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernels, "bck_candidates", lambda n: iter([((0, 0), (1, 1))]))
+    return ["enumerate", "--algebras", "--order", "2"]
+
+
+def _membership_check_passes_a_code_without_all_ones(monkeypatch, tmp_path):
+    monkeypatch.setattr(construct, "is_triangular_code", lambda code: True)
+    return ["construct", _write(tmp_path, "code.txt", "10\n01\n")]
+
+
+def _construction_loses_the_lifted_columns(monkeypatch, tmp_path):
+    build = lift.construct_from_code
+
+    def cleared(code):
+        result = build(code)
+        poset = bc.Poset._trusted((0,) * len(result.poset.rows))
+        return dataclasses.replace(result, poset=poset)
+
+    monkeypatch.setattr(lift, "construct_from_code", cleared)
+    return ["lift", _write(tmp_path, "code.txt", "110\n011\n101\n")]
+
+
+def _family_enumeration_misses_the_staircase(monkeypatch, tmp_path):
+    members = lift.enumerate_triangular_codes
+    staircase = bc.staircase_code(3).values
+    monkeypatch.setattr(
+        lift,
+        "enumerate_triangular_codes",
+        lambda n: (c for c in members(n) if bc.lex_sort_desc(c).values != staircase),
+    )
+    return ["enumerate", "--family", "--order", "3"]
+
+
+def _family_enumeration_tops_the_staircase(monkeypatch, tmp_path):
+    # 111 011 010 sorts above the staircase 111 011 001 and is
+    # incomparable with it: at row 2 neither word lies inside the other
+    top = bc.BlockCode.of((0b111, 0b011, 0b010), 3)
+    members = lift.enumerate_triangular_codes
+    monkeypatch.setattr(lift, "enumerate_triangular_codes", lambda n: [*members(n), top])
+    monkeypatch.setattr(lift, "staircase_code", lambda n: top)
+    return ["enumerate", "--family", "--order", "3"]
+
+
+@pytest.mark.parametrize("breach, message", [
+    (_census_search_yields_a_non_bck_table, "search yielded a non-BCK table ((0, 0), (1, 1))"),
+    (_membership_check_passes_a_code_without_all_ones, "all-ones word is not the order minimum"),
+    (_construction_loses_the_lifted_columns, "lifted code lost 3 input codeword(s)"),
+    (_family_enumeration_misses_the_staircase, "family maximum is not the staircase code"),
+    (_family_enumeration_tops_the_staircase, "staircase code is not the order minimum"),
+], ids=["census", "construct", "lift", "family-maximum", "family-minimum"])
+def test_each_invariant_breach_exits_3(breach, message, monkeypatch, tmp_path, capsys):
+    # each raise sits behind a theorem, so the layer above it is broken
+    argv = breach(monkeypatch, tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"internal error: {message}\n"
     assert captured.out == ""

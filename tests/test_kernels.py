@@ -303,10 +303,10 @@ def test_axiom1_proof_succeeds_on_every_small_bck_table(n):
 
 
 def test_proof_helpers_match_their_definitions_across_blocks():
-    # An order-131 chain, as it is and with one cell edited.  Setting
-    # top*(B-1) = B+1, for the block size B, breaks exchange only where
-    # one of y and z is B-1, the last of its block, and the other lies in
-    # a later block.  Random edits fall in the last, partial block.
+    # An order-131 chain, as it is and with one cell edited; monotonicity
+    # takes its 130 covers in blocks of B, the last one partial.  Setting
+    # top*(B-1) = B+1 breaks exchange only at x = top, the last x the
+    # exchange check reaches.  Random edits fall in the last rows.
     rng = random.Random(17)
     block = pure._BLOCK
     n = 2 * block + 3
@@ -325,6 +325,39 @@ def test_proof_helpers_match_their_definitions_across_blocks():
         assert _proof_helpers(t) == identities
         seen.add(identities)
     assert {e for e, _ in seen} == {m for _, m in seen} == {True, False}
+
+
+# Row 1 is 1 0 3 3: y = 2 and y = 3 share the value 3, so one of them is
+# no representative, and exchange fails only at x = 1 with {y, z} = {2, 3}:
+# (1*2)*3 = 3*3 = 0 but (1*3)*2 = 3*2 = 3.
+_EXCHANGE_OFF_REPRESENTATIVES = [[0, 0, 0, 0], [1, 0, 3, 3], [2, 0, 0, 0], [3, 0, 3, 0]]
+
+
+def test_exchange_holds_matches_its_definition_with_repeated_row_values():
+    # Rows drawn from one or two values each, so most x*y repeat and the
+    # check reads few representatives per x.
+    rng = random.Random(23)
+    seen = set()
+    for i in range(6000):
+        n = 1 + i % 6
+        pools = [rng.sample(range(n), min(n, rng.randint(1, 2))) for _ in range(n)]
+        t = [[rng.choice(pools[x]) for _ in range(n)] for x in range(n)]
+        holds = _proof_identities(t)[0]
+        assert pure._exchange_holds(pure._array(t)) == holds, t
+        seen.add(holds)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "t",
+    [_EXCHANGE_OFF_REPRESENTATIVES, _times_indicator(_EXCHANGE_OFF_REPRESENTATIVES, 3)],
+    ids=["order-4", "order-32"],
+)
+def test_exchange_is_checked_off_the_representatives(t):
+    # Checking representatives against representatives only would pass
+    # these tables; the failing instance needs a y that is no representative.
+    assert _proof_identities(t)[0] is False
+    assert pure._exchange_holds(pure._array(t)) is False
 
 
 def test_axiom1_proof_is_sound_on_near_valid_tables():
