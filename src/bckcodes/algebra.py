@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import _kernels
-from .codes import bit_positions, pack_bits
+from .codes import as_int, bit_positions, pack_bits
 from .errors import InputError, InternalInvariantError, NotBckError
 
 
@@ -136,25 +136,23 @@ class Poset:
     Bit y of ``rows[x]`` is set iff x <= y, bit 0 the most significant
     of n bits as in `Codeword`.  Construction validates reflexivity,
     antisymmetry and transitivity; ``minimum`` is the element below
-    every other, or None.  The library skips the validation only for
-    orders a theorem makes partial (see `_trusted`).
+    every other, the row with every bit set, or None.
     """
 
     rows: tuple[int, ...]
     minimum: int | None
 
     def __init__(self, rows):
-        rows = tuple(rows)
+        rows = tuple(map(as_int, rows))
         n = len(rows)
         if n == 0 or any(not 0 <= r < 2**n for r in rows):
             raise InputError("poset rows must be non-empty and fit in n bits")
-        up = [bit_positions(r, n) for r in rows]
-        up_sets = [set(ys) for ys in up]
-        if any(x not in ys for x, ys in enumerate(up_sets)):
+        if any(not r >> (n - 1 - x) & 1 for x, r in enumerate(rows)):
             raise InputError("relation is not reflexive")
+        up = [bit_positions(r, n) for r in rows]
         for x, ys in enumerate(up):
             for y in ys:
-                if y != x and x in up_sets[y]:
+                if y != x and rows[y] >> (n - 1 - x) & 1:
                     raise InputError(f"relation is not antisymmetric at ({x}, {y})")
         for x, ys in enumerate(up):
             reach = 0
@@ -163,19 +161,7 @@ class Poset:
             if reach & ~rows[x]:
                 z = bit_positions(reach & ~rows[x], n)[0]
                 raise InputError(f"relation is not transitive at ({x}, {z})")
-        self._store(rows)
-
-    @classmethod
-    def _trusted(cls, rows: tuple[int, ...]) -> "Poset":
-        """The poset of ``rows``, already known to be a partial order; unchecked."""
-        p = object.__new__(cls)
-        p._store(rows)
-        return p
-
-    def _store(self, rows: tuple[int, ...]) -> None:
-        """Set ``rows`` and the detected ``minimum``, the row with every bit set."""
-        full = (1 << len(rows)) - 1
-        minimum = next((x for x, r in enumerate(rows) if r == full), None)
+        minimum = next((x for x, r in enumerate(rows) if r == (1 << n) - 1), None)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "minimum", minimum)
 

@@ -154,7 +154,7 @@ def cmd_encode(args) -> int:
 def cmd_construct(args) -> int:
     code = io.parse_code(_read(args.code))
     result = construct_from_code(code)
-    trip = _roundtrip(result.code, result.poset)
+    trip = _roundtrip(result.code, result.poset.rows)
     if args.json:
         payload = {
             "order": result.algebra.order,

@@ -12,6 +12,7 @@ differ.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -24,6 +25,14 @@ def pack_bits(bits: Iterable[int]) -> int:
     for b in bits:
         value = value << 1 | b
     return value
+
+
+def as_int(value) -> int:
+    """``value`` as an int (Python and numpy integers); `InputError` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{value!r} is not an integer") from None
 
 
 def bit_positions(value: int, length: int) -> list[int]:
@@ -55,6 +64,7 @@ class Codeword:
     @classmethod
     def of(cls, value: int, length: int) -> "Codeword":
         """The word of ``length`` bits whose integer value is ``value``."""
+        value = as_int(value)
         if length < 1 or not 0 <= value < 1 << length:
             raise InputError(f"value {value} does not fit in {length} bits")
         w = object.__new__(cls)
@@ -116,7 +126,7 @@ class BlockCode:
     @classmethod
     def of(cls, values, length: int) -> "BlockCode":
         """The code whose words are the ``length``-bit integers ``values``, in order."""
-        values = tuple(values)
+        values = tuple(map(as_int, values))
         if not values:
             raise InputError("a block code needs at least one codeword")
         for v in values:

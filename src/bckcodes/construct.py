@@ -55,25 +55,31 @@ def construct_from_code(code: BlockCode) -> ConstructionResult:
     The code is sorted lex-descending first, so element i of the
     algebra corresponds to sorted word i (the all-ones word becomes 0).
     """
-    sorted_code, poset = _word_order(code)
+    sorted_code, rows = _word_order(code)
+    poset = Poset(rows)
     names = tuple(f"w{i + 1}" for i in range(len(sorted_code)))
     algebra = algebra_from_poset(poset, names)
     function = BckFunction.identity(algebra)
     return ConstructionResult(algebra, sorted_code, function, poset)
 
 
-def _word_order(code: BlockCode) -> tuple[BlockCode, Poset]:
-    """A checked triangular-family code, sorted lex-descending, and its word order."""
+def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
+    """A checked triangular-family code, sorted lex-descending, and the
+    rows of its word order: bit j of row k is set iff word k <= word j.
+
+    Sorted word k has no 1 left of column k and a 1 at column k, so for
+    j < k word j has a 1 where word k has none: bits 0..k-1 of row k
+    are 0 and bit k is 1.  Row k is packed from words k..n-1 alone.
+    """
     check = is_triangular_code(code)
     if not check:
         raise InputError(f"not a triangular-family code: {check.reason}")
     sorted_code = lex_sort_desc(code)
     values = sorted_code.values
-    # the word order of distinct equal-length words is a partial order
-    poset = Poset._trusted(tuple(pack_bits(b & ~a == 0 for b in values) for a in values))
-    if poset.minimum != 0:
+    rows = tuple(pack_bits(b & ~a == 0 for b in values[k:]) for k, a in enumerate(values))
+    if rows[0] != (1 << len(rows)) - 1:
         raise InternalInvariantError("all-ones word is not the order minimum")
-    return sorted_code, poset
+    return sorted_code, rows
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,14 @@ class RoundTripReport:
     sequences.  ``self_describing`` holds when the sorted matrix already
     equals the word-order incidence matrix of its own rows (entry (k, j)
     is 1 iff word k <= word j).  Row k of that matrix is the word the
-    algebra produces for element k, so it is ``not mismatches``; that
-    exactly these codes are ``exact`` stays a claim to check.  The
-    report reads only the sorted code and its word order, so
-    `verify_roundtrip` builds no table.
+    algebra produces for element k, and the regenerated code is those
+    rows sorted lex-descending.  Each row's leading 1 is on the
+    diagonal (see `_word_order`), so the rows are already strictly
+    descending: the regenerated code is the rows in order, and it equals
+    the sorted input exactly when no row mismatches.  So ``exact`` and
+    ``self_describing`` are both ``not mismatches``.  The report reads
+    only the sorted code and its word order, so `verify_roundtrip`
+    builds no poset and no table.
     """
 
     exact: bool
@@ -108,18 +118,15 @@ def verify_roundtrip(code: BlockCode) -> RoundTripReport:
     return _roundtrip(*_word_order(code))
 
 
-def _roundtrip(sorted_code: BlockCode, poset: Poset) -> RoundTripReport:
+def _roundtrip(sorted_code: BlockCode, rows: tuple[int, ...]) -> RoundTripReport:
     """The round-trip report, read off the rows of the code's word order."""
-    rows = poset.rows
     n = len(rows)
-    regenerated = BlockCode.of(sorted(rows, reverse=True), n)
     mismatches = tuple(
         RowMismatch(k, Codeword.of(w, n), Codeword.of(r, n))
         for k, (w, r) in enumerate(zip(sorted_code.values, rows))
         if w != r
     )
-    exact = regenerated == sorted_code
-    return RoundTripReport(exact, regenerated, mismatches, not mismatches)
+    return RoundTripReport(not mismatches, BlockCode.of(rows, n), mismatches, not mismatches)
 
 
 def iter_posets_with_minimum(n: int) -> Iterator[Poset]:

@@ -96,15 +96,17 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
     that also share row k are contiguous sub-runs, and every member of
     sub-run A is below every member of each sibling sub-run whose row-k
     word lies inside A's.  Returns the algebra together with its
-    canonical code (one word per member), which is the sorted rows of
-    the order.  Bounded at n = 6, where the family has 1024 members:
+    canonical code (one word per member), which is the rows of the
+    order: x <= y forces y's row-k word to be a proper subset of x's,
+    so y sorts after x, and each row's leading 1 is on the diagonal.
+    Bounded at n = 6, where the family has 1024 members:
     order 7 has 32,768, so its table would have 2**30 cells.
     """
     if not 1 <= n <= 6:
         raise InputError("family_algebra supports 1 <= n <= 6")
 
-    members = [lex_sort_desc(c) for c in enumerate_triangular_codes(n)]
-    packed = sorted((c.values for c in members), reverse=True)
+    # each member's words already come lex-descending
+    packed = sorted((c.values for c in enumerate_triangular_codes(n)), reverse=True)
     if packed[0] != staircase_code(n).values:
         raise InternalInvariantError("family maximum is not the staircase code")
     size = len(packed)
@@ -136,4 +138,4 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
     poset = Poset(rows)
     if poset.minimum != 0:
         raise InternalInvariantError("staircase code is not the order minimum")
-    return algebra_from_poset(poset), BlockCode.of(sorted(poset.rows, reverse=True), size)
+    return algebra_from_poset(poset), BlockCode.of(poset.rows, size)

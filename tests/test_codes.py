@@ -1,6 +1,8 @@
 import random
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,34 @@ words = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=8).map(tuple)
 
 def same_length_words(k: int):
     return st.lists(st.sampled_from((0, 1)), min_size=k, max_size=k).map(tuple)
+
+
+# (build from one value, read the stored value back) for each integer constructor
+_INT_CONSTRUCTORS = [
+    (lambda v: bc.Poset((v,)), lambda p: p.rows[0]),
+    (lambda v: bc.BlockCode.of((v,), 1), lambda c: c.values[0]),
+    (lambda v: bc.Codeword.of(v, 1), lambda w: w.value),
+]
+
+
+@pytest.mark.parametrize("build, stored", _INT_CONSTRUCTORS, ids=["Poset", "BlockCode.of", "Codeword.of"])
+@pytest.mark.parametrize("value, accepted", [
+    (1.0, False),
+    ("1", False),
+    (np.float64(1.0), False),
+    (np.bool_(True), False),
+    (np.int64(1), True),
+    (np.uint8(1), True),
+    (True, True),
+    (1, True),
+], ids=["float", "str", "numpy-float", "numpy-bool", "numpy-int64", "numpy-uint8", "bool", "int"])
+def test_integer_constructors_take_only_integers(build, stored, value, accepted):
+    if not accepted:
+        with pytest.raises(bc.InputError, match=re.escape(f"{value!r} is not an integer")):
+            build(value)
+        return
+    held = stored(build(value))
+    assert type(held) is int and held == 1
 
 
 def test_codeword_basics():
@@ -109,6 +139,11 @@ def test_enumeration_counts_match_formula():
             assert bc.is_triangular_code(c)
         # deterministic
         assert members == list(bc.enumerate_triangular_codes(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_family_members_come_lex_descending(n):
+    assert all(bc.lex_sort_desc(c) == c for c in bc.enumerate_triangular_codes(n))
 
 
 def test_enumeration_bounds():

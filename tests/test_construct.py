@@ -5,6 +5,7 @@ import pytest
 
 import bckcodes as bc
 import reference_data as rd
+from bckcodes import construct
 from bckcodes.codes import bit_positions, pack_bits
 from test_algebra import brute_axiom_holds
 
@@ -246,6 +247,40 @@ def test_trusted_path_equals_the_validated_path():
         report = bc.verify_roundtrip(code)
         assert report == _validated_report(bc.BlockCode(result.code.words), poset)
         assert report.regenerated == bc.BlockCode(report.regenerated.words)
+
+
+def descend_from_the_diagonal(rows) -> bool:
+    """Are ``rows`` strictly descending, with row k's leading 1 at bit k?"""
+    n = len(rows)
+    descending = all(a > b for a, b in zip(rows, rows[1:]))
+    return descending and all(r.bit_length() == n - k for k, r in enumerate(rows))
+
+
+def test_word_order_rows_are_the_incidence_matrix_and_descend_from_the_diagonal():
+    for code in _trusted_sample():
+        sorted_code, rows = construct._word_order(code)
+        words = bc.lex_sort_desc(code).words
+        assert sorted_code == bc.BlockCode(words)
+        assert rows == tuple(pack_bits(bc.word_leq(a, b) for b in words) for a in words)
+        assert descend_from_the_diagonal(rows)
+
+
+def test_verify_roundtrip_builds_no_poset(monkeypatch):
+    built = 0
+    init = bc.Poset.__init__
+
+    def counting(self, rows):
+        nonlocal built
+        built += 1
+        init(self, rows)
+
+    monkeypatch.setattr(bc.Poset, "__init__", counting)
+    reports = [bc.verify_roundtrip(c) for c in bc.enumerate_triangular_codes(7)]
+    assert sum(r.exact for r in reports) == 4824
+    assert built == 0
+    # construction still builds its poset with the checked constructor
+    assert bc.construct_from_code(bc.staircase_code(7)).poset.minimum == 0
+    assert built == 1
 
 
 def test_trusted_builders_equal_validated_objects():

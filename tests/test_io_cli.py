@@ -584,6 +584,34 @@ def test_cli_lift_json(tmp_path, capsys):
     assert data["source"] == list(rd.LIFT_INPUT_SORTED)
 
 
+def test_cli_construct_json_on_every_order_5_code_is_pinned(tmp_path, capsys):
+    # all 64 members, 40 exact round trips and 24 inexact ones
+    out = []
+    for i, code in enumerate(bc.enumerate_triangular_codes(5)):
+        path = _write(tmp_path, f"code{i}.txt", "\n".join(code.strings()) + "\n")
+        assert main(["construct", "--json", "--lax", path]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.md5("".join(out).encode()).hexdigest() == "766dde877731d7dc1d762487267a3c76"
+
+
+def _seeded_lift_sources(count=200, seed=18):
+    """Seeded codes of 1-6 distinct words of 1-5 bits, each as its lines."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        values = rng.sample(range(1 << m), rng.randint(1, min(6, 1 << m)))
+        yield [format(v, f"0{m}b") for v in values]
+
+
+def test_cli_lift_json_on_seeded_codes_is_pinned(tmp_path, capsys):
+    out = []
+    for i, lines in enumerate(_seeded_lift_sources()):
+        path = _write(tmp_path, f"code{i}.txt", "\n".join(lines) + "\n")
+        assert main(["lift", "--json", path]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.md5("".join(out).encode()).hexdigest() == "d0c35675ede6636db0ff4d469c5ea614"
+
+
 def test_cli_enumerate_codes(capsys):
     assert main(["enumerate", "--order", "4", "--codes"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -874,8 +902,9 @@ def _construction_loses_the_lifted_columns(monkeypatch, tmp_path):
 
     def cleared(code):
         result = build(code)
-        poset = bc.Poset._trusted((0,) * len(result.poset.rows))
-        return dataclasses.replace(result, poset=poset)
+        n = result.poset.order
+        identity = bc.Poset(tuple(1 << (n - 1 - x) for x in range(n)))
+        return dataclasses.replace(result, poset=identity)
 
     monkeypatch.setattr(lift, "construct_from_code", cleared)
     return ["lift", _write(tmp_path, "code.txt", "110\n011\n101\n")]

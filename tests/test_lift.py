@@ -5,6 +5,7 @@ import pytest
 import bckcodes as bc
 from bckcodes.codes import pack_bits
 import reference_data as rd
+from test_construct import descend_from_the_diagonal
 
 
 def _is_unit_upper_triangular(code):
@@ -168,6 +169,7 @@ def test_family_order_rows_match_the_pairwise_definition(n):
     alg, code = bc.family_algebra(n)
     assert bc.induced_order(alg).rows == rows
     assert [w.value for w in code.words] == sorted(rows, reverse=True)
+    assert descend_from_the_diagonal(rows)
 
 
 def test_family_bounds():
