@@ -1,4 +1,4 @@
-"""The table search, the axiom scan and the two property scans.
+"""The table search, the axiom scan, the two property scans and the order pairs.
 
 The kernels live in the submodule `pure`; this package re-exports them
 so that callers, and call tracing, go through `bckcodes._kernels`.
@@ -10,6 +10,7 @@ from .pure import (
     bck_candidates,
     commutative_witness,
     implicative_witness,
+    order_pairs,
     table_is_bck,
 )
 
@@ -19,5 +20,6 @@ __all__ = [
     "bck_candidates",
     "commutative_witness",
     "implicative_witness",
+    "order_pairs",
     "table_is_bck",
 ]

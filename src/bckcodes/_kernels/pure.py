@@ -3,15 +3,17 @@
 `axiom_witnesses` finds the first violation of each of the five BCK
 axioms, `table_is_bck` answers the same question with a yes or no,
 `commutative_witness` and `implicative_witness` find the first
-counterexample to each property, and `bck_candidates` enumerates the
-naturally labeled Cayley tables of a given order that satisfy all five
-axioms, one or more per isomorphism class, in a fixed depth-first order.
+counterexample to each property, `order_pairs` lists the pairs x != y
+with x*y = 0, and `bck_candidates` enumerates the naturally labeled
+Cayley tables of a given order that satisfy all five axioms, one or
+more per isomorphism class, in a fixed depth-first order.
 
 The axiom-1 scan is cubic in the order.  From order `_NUMPY_MIN_ORDER`
 up, the axiom scan copies the table once into an int32 array and runs on
 it with whole-table numpy operations; below that it indexes the rows in
 plain loops.  Witnesses stay lexicographically first in (x, y, z)
-either way.  The property scans run on the array at every order.
+either way.  The property scans and `order_pairs` run on the array at
+every order, and scans of one table in a row share one copy.
 
 On the array path axiom 1 is first decided by a theorem (Iseki and
 Tanaka, Math. Japonica 23, 1978).  If axiom 2 holds, the exchange
@@ -76,10 +78,30 @@ def _axiom1_witness_loops(t: Sequence[Sequence[int]]):
     return None
 
 
+# (table, array) for the last tuple-of-tuples table `_array` copied.  One
+# tuple, rebound on each miss, so a read never pairs a table with another
+# table's array.  Holding the table keeps it alive, so its id is not reused.
+_held = (None, None)
+
+
 def _array(table):
-    """The table as an n x n int32 array."""
+    """The table as a read-only n x n int32 array.
+
+    The last table given as a tuple of tuples keeps its array, so the
+    scans `verify` runs one after another on one table share one copy.
+    Tuples cannot change under the array; other tables are copied on
+    every call.
+    """
+    global _held
+    held, T = _held
+    if held is table:
+        return T
     n = len(table)
-    return np.fromiter(chain.from_iterable(table), np.int32, n * n).reshape(n, n)
+    T = np.fromiter(chain.from_iterable(table), np.int32, n * n).reshape(n, n)
+    T.flags.writeable = False
+    if type(table) is tuple and all(type(row) is tuple for row in table):
+        _held = (table, T)
+    return T
 
 
 def _axiom1_witness_numpy(T):
@@ -247,6 +269,19 @@ def implicative_witness(table: Sequence[Sequence[int]]):
     T = _array(table)
     back = np.take_along_axis(T, T.T, axis=1)  # x*(y*x)
     return _first(back != np.arange(len(T))[:, None])
+
+
+def order_pairs(table: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """The pairs x != y with x*y = 0, as a list of x and a list of y.
+
+    Pairs come in row-major order.  On a BCK table they are the strict
+    induced order x < y; like the property scans, this does not check
+    the axioms.
+    """
+    zero = _array(table) == 0
+    np.fill_diagonal(zero, False)
+    xs, ys = np.nonzero(zero)
+    return xs.tolist(), ys.tolist()
 
 
 def table_is_bck(table: Sequence[Sequence[int]]) -> bool:

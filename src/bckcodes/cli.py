@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import compress
-from operator import not_
 
-from . import io
+from . import _kernels, io
 from .algebra import (
     PropertyCheck,
     check_axioms,
@@ -69,13 +67,7 @@ def cmd_verify(args) -> int:
         comm = is_commutative(alg)
         impl = is_implicative(alg)
         # On a BCK table x*y = 0 is the induced partial order, just proved.
-        n = alg.order
-        pairs = [
-            (x, y)
-            for x, row in enumerate(alg.table)
-            for y in compress(range(n), map(not_, row))
-            if y != x
-        ]
+        pairs = _kernels.order_pairs(alg.table)
 
     if args.json:
         payload = {
@@ -97,7 +89,7 @@ def cmd_verify(args) -> int:
         if pairs is None:
             sys.stdout.write(io.render_report("verify", {**payload, "order_pairs": None}))
         else:
-            sys.stdout.writelines(io.stream_report("verify", payload, "order_pairs", pairs))
+            sys.stdout.writelines(io.stream_pairs("verify", payload, "order_pairs", *pairs))
     else:
         lines = [f"order: {alg.order}"]
         for c in report.checks:
@@ -117,7 +109,7 @@ def cmd_verify(args) -> int:
                     lines.append(f"{name}: yes")
                 else:
                     lines.append(f"{name}: no ({_witness_str(p.witness)})")
-            text = " ".join(f"{x}<={y}" for x, y in pairs)
+            text = " ".join(map("{}<={}".format, *pairs))
             lines.append(f"order pairs: {text or '(none)'}")
         sys.stdout.write("\n".join(lines) + "\n")
     return 0 if report.is_bck else 1

@@ -179,17 +179,22 @@ def is_triangular_code(code: BlockCode) -> MembershipCheck:
     word, and its lex-descending matrix is upper triangular with ones on
     the diagonal.  The reason string names the first failed condition.
     """
-    n = code.length
-    if len(code) != n:
-        return MembershipCheck(False, f"not square: {len(code)} words of length {n}")
-    values = sorted(code.values, reverse=True)
+    reason = _triangular_defect(sorted(code.values, reverse=True), code.length)
+    return MembershipCheck(reason is None, reason)
+
+
+def _triangular_defect(values: list[int], n: int) -> str | None:
+    """Why the lex-descending ``values`` of n-bit words are not a member
+    of the triangular family (the first failed condition); None if they are."""
+    if len(values) != n:
+        return f"not square: {len(values)} words of length {n}"
     if values[0] != (1 << n) - 1:
-        return MembershipCheck(False, "all-ones word missing")
+        return "all-ones word missing"
     for i, v in enumerate(values):
         defect = _row_defect(v, i, n)
         if defect:
-            return MembershipCheck(False, f"sorted row {i} {defect}")
-    return MembershipCheck(True)
+            return f"sorted row {i} {defect}"
+    return None
 
 
 def _row_defect(value: int, i: int, n: int) -> str | None:

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterator
 
 from .algebra import CayleyAlgebra, Poset, _checked_names
-from .codes import BlockCode, Codeword, bit_positions, is_triangular_code, lex_sort_desc, pack_bits
+from .codes import BlockCode, Codeword, _triangular_defect, bit_positions, pack_bits
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
@@ -71,15 +71,20 @@ def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
     j < k word j has a 1 where word k has none: bits 0..k-1 of row k
     are 0 and bit k is 1.  Row k is packed from words k..n-1 alone.
     """
-    check = is_triangular_code(code)
-    if not check:
-        raise InputError(f"not a triangular-family code: {check.reason}")
-    sorted_code = lex_sort_desc(code)
-    values = sorted_code.values
-    rows = tuple(pack_bits(b & ~a == 0 for b in values[k:]) for k, a in enumerate(values))
-    if rows[0] != (1 << len(rows)) - 1:
+    n = code.length
+    values = sorted(code.values, reverse=True)
+    reason = _triangular_defect(values, n)
+    if reason:
+        raise InputError(f"not a triangular-family code: {reason}")
+    rows = []
+    for k, a in enumerate(values):
+        row = 0
+        for b in values[k:]:
+            row = row << 1 | (b & ~a == 0)
+        rows.append(row)
+    if rows[0] != (1 << n) - 1:
         raise InternalInvariantError("all-ones word is not the order minimum")
-    return sorted_code, rows
+    return BlockCode.of(values, n), tuple(rows)
 
 
 @dataclass(frozen=True)

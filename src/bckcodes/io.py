@@ -165,6 +165,31 @@ def stream_report(kind: str, payload: dict, key: str, items: Iterable) -> Iterat
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
 
+_PAIRS_PER_CHUNK = 4096
+_PAIR = "    [\n      {},\n      {}\n    ]".format
+
+
+def stream_pairs(kind: str, payload: dict, key: str, xs: list[int], ys: list[int]) -> Iterator[str]:
+    """The text of `render_report` with ``payload[key]`` the pairs [x, y].
+
+    The pieces join to ``render_report(kind, {**payload, key: pairs})``,
+    with ``key`` not in payload and pairs ``[[x, y] for x, y in zip(xs,
+    ys)]`` for int lists of equal length.  Each pair is formatted from
+    one template, as `json.dumps(..., indent=2)` writes it at that depth,
+    and the pairs are joined a chunk at a time, so the text of at most
+    one chunk is held at once.
+    """
+    head = render_report(kind, {**payload, key: []})
+    if not xs:
+        yield head
+        return
+    yield head[: -len("]\n}\n")] + "\n"
+    for i in range(0, len(xs), _PAIRS_PER_CHUNK):
+        chunk = ",\n".join(map(_PAIR, xs[i : i + _PAIRS_PER_CHUNK], ys[i : i + _PAIRS_PER_CHUNK]))
+        yield chunk if i == 0 else ",\n" + chunk
+    yield "\n  ]\n}\n"
+
+
 def parse_report(text: str) -> dict:
     try:
         data = json.loads(text)

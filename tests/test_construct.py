@@ -1,5 +1,6 @@
 import random
-from itertools import product
+import re
+from itertools import islice, product
 
 import pytest
 
@@ -120,6 +121,33 @@ def test_construct_rejects_non_members():
     with pytest.raises(bc.InputError) as exc:
         bc.construct_from_code(bc.BlockCode.from_strings(rd.LIFT_INPUT))
     assert "not square" in str(exc.value)
+
+
+def _seeded_non_members(seed=19):
+    """Seeded codes of 1-6 distinct words of 1-5 bits that are not family members."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(1, 5)
+        code = bc.BlockCode.of(rng.sample(range(1 << n), rng.randint(1, min(6, 1 << n))), n)
+        if not bc.is_triangular_code(code):
+            yield code
+
+
+def test_roundtrip_rejects_non_members_with_the_membership_reason():
+    kinds = set()
+    for code in islice(_seeded_non_members(), 500):
+        reason = bc.is_triangular_code(code).reason
+        for build in (bc.verify_roundtrip, bc.construct_from_code):
+            with pytest.raises(bc.InputError) as exc:
+                build(code)
+            assert str(exc.value) == "not a triangular-family code: " + reason
+        kinds.add(re.sub(r"^sorted row \d+ |: .*", "", reason))
+    assert kinds == {
+        "not square",
+        "all-ones word missing",
+        "has a 1 left of the diagonal",
+        "has no 1 on the diagonal",
+    }
 
 
 def test_roundtrip_counterexample():

@@ -348,6 +348,22 @@ def order_1024_path(tmp_path_factory):
     return str(path)
 
 
+def test_cli_verify_copies_the_table_to_an_array_once(order_1024_path, monkeypatch):
+    copies = 0
+    fromiter = pure.np.fromiter
+
+    def counting(*args, **kwargs):
+        nonlocal copies
+        copies += 1
+        return fromiter(*args, **kwargs)
+
+    monkeypatch.setattr(pure.np, "fromiter", counting)
+    bc.check_axioms.cache_clear()
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        assert main(["verify", "--json", order_1024_path]) == 0
+    assert copies == 1
+
+
 @pytest.mark.parametrize("flags, digest", [
     ([], "3faebe37671eca0a75c7f82c3d647d46"),
     (["--json"], "f4f0f5054c009dd54d10a6d304eca1dd"),
@@ -731,6 +747,23 @@ def test_stream_report_joins_to_render_report_on_any_flat_items(items):
     assert "".join(pieces) == io.render_report("verify", {"bck": True, "order_pairs": items})
 
 
+_pair_counts = st.one_of(st.integers(0, 20), st.sampled_from([4095, 4096, 4097, 8192, 8193]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair_counts, st.lists(st.integers(), min_size=2), st.randoms(use_true_random=False))
+def test_stream_pairs_joins_to_render_report(count, pool, rng):
+    xs = [rng.choice(pool) for _ in range(count)]
+    ys = [rng.choice(pool) for _ in range(count)]
+    payload = {"order": count, "bck": True}
+    pieces = list(io.stream_pairs("verify", payload, "order_pairs", xs, ys))
+    pairs = [[x, y] for x, y in zip(xs, ys)]
+    expected = io.render_report("verify", {**payload, "order_pairs": pairs})
+    assert "".join(pieces) == expected
+    chunks = -(-count // 4096)
+    assert len(pieces) == (2 + chunks if count else 1)
+
+
 _family_lines = (
     st.integers(1, 5)
     .flatmap(lambda n: st.sampled_from(list(bc.enumerate_triangular_codes(n))))
@@ -893,7 +926,7 @@ def _census_search_yields_a_non_bck_table(monkeypatch, tmp_path):
 
 
 def _membership_check_passes_a_code_without_all_ones(monkeypatch, tmp_path):
-    monkeypatch.setattr(construct, "is_triangular_code", lambda code: True)
+    monkeypatch.setattr(construct, "_triangular_defect", lambda values, n: None)
     return ["construct", _write(tmp_path, "code.txt", "10\n01\n")]
 
 

@@ -2,6 +2,9 @@
 against plain loops, and the search stream."""
 
 import random
+from itertools import compress
+from operator import not_
+
 import numpy as np
 import pytest
 
@@ -420,3 +423,50 @@ def test_search_yields_naturally_labeled_bck_tables(n):
             x < y for x in range(n) for y in range(n) if x != y and t[x][y] == 0
         )
         assert all(brute_axiom_holds(t, axiom) for axiom in (1, 2, 3, 4, 5))
+
+
+def _order_pairs_oracle(t):
+    """The pairs x != y with x*y = 0 in row-major order, by a list comprehension."""
+    n = len(t)
+    pairs = [
+        (x, y)
+        for x, row in enumerate(t)
+        for y in compress(range(n), map(not_, row))
+        if y != x
+    ]
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def _chain(n):
+    """The BCK chain x*y = max(x - y, 0)."""
+    return tuple(tuple(max(x - y, 0) for y in range(n)) for x in range(n))
+
+
+def test_order_pairs_match_the_list_comprehension():
+    tables = [t for n in range(1, 6) for t in pure.bck_candidates(n)]
+    tables += [
+        bc.family_algebra(6)[0].table,
+        bc.pointwise_function_algebra(10).table,
+        _chain(1024),
+    ]
+    for t in tables:
+        assert pure.order_pairs(t) == _order_pairs_oracle(t)
+    assert len(pure.order_pairs(tables[-1])[0]) == 1024 * 1023 // 2
+
+
+def test_one_held_array_answers_only_its_own_table():
+    # two same-order BCK tables with different answers, and an equal copy
+    chain = _chain(32)
+    boolean = bc.pointwise_function_algebra(5).table
+    copy = tuple(tuple(row) for row in chain)
+    assert copy == chain and copy is not chain
+    expected = {id(t): _property_loops(t) for t in (chain, boolean, copy)}
+    assert expected[id(chain)] != expected[id(boolean)]
+    for t in (chain, boolean, chain, copy, boolean, copy, chain):
+        assert _property_scans(t) == expected[id(t)]
+        assert pure.order_pairs(t) == _order_pairs_oracle(t)
+    # a list can change between calls, so it is copied each time
+    t = [list(row) for row in boolean]
+    assert _property_scans(t) == expected[id(boolean)]
+    t[1][2] = 5
+    assert _property_scans(t) == _property_loops(t) != expected[id(boolean)]
