@@ -14,9 +14,10 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from itertools import product, repeat
 from typing import Iterable, Iterator
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 
 def pack_bits(bits: Iterable[int]) -> int:
@@ -33,6 +34,11 @@ def as_int(value) -> int:
         return operator.index(value)
     except TypeError:
         raise InputError(f"{value!r} is not an integer") from None
+
+
+# The bits `Codeword(bits)` accepts; 0.0, 1.0 and bools hash and compare
+# equal to these keys, and any other value is a KeyError or a TypeError.
+_BIT = {0: 0, 1: 1, "0": 0, "1": 1}
 
 
 def bit_positions(value: int, length: int) -> list[int]:
@@ -53,28 +59,39 @@ class Codeword:
     length: int
 
     def __init__(self, bits):
-        bits = tuple(int(b) for b in bits)
+        """The word with these bits: 0/1 numbers, bools or the characters '0'/'1'."""
+        try:
+            bits = tuple([_BIT[b] for b in bits])
+        except (KeyError, TypeError):
+            raise InputError("codeword bits must be 0 or 1") from None
         if not bits:
             raise InputError("empty codeword")
-        if any(b not in (0, 1) for b in bits):
-            raise InputError("codeword bits must be 0 or 1")
         object.__setattr__(self, "value", pack_bits(bits))
         object.__setattr__(self, "length", len(bits))
 
     @classmethod
     def of(cls, value: int, length: int) -> "Codeword":
         """The word of ``length`` bits whose integer value is ``value``."""
-        value = as_int(value)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise InputError(f"{value!r} is not an integer") from None
         if length < 1 or not 0 <= value < 1 << length:
             raise InputError(f"value {value} does not fit in {length} bits")
         w = object.__new__(cls)
-        object.__setattr__(w, "value", value)
-        object.__setattr__(w, "length", length)
+        fields = w.__dict__  # one dict write per field; the dataclass is frozen
+        fields["value"] = value
+        fields["length"] = length
         return w
 
     @classmethod
     def from_string(cls, s: str) -> "Codeword":
-        return cls(tuple(int(c) for c in s))
+        """The word spelled by ``s``, which holds only the ASCII characters 0 and 1."""
+        if not isinstance(s, str) or s.strip("01"):
+            raise InputError("codeword bits must be 0 or 1")
+        if not s:
+            raise InputError("empty codeword")
+        return cls.of(int(s, 2), len(s))
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -125,13 +142,22 @@ class BlockCode:
 
     @classmethod
     def of(cls, values, length: int) -> "BlockCode":
-        """The code whose words are the ``length``-bit integers ``values``, in order."""
-        values = tuple(map(as_int, values))
+        """The code whose words are the ``length``-bit integers ``values``, in order.
+
+        Each check is one pass over the values; only when it fails does
+        a second pass find the first offending value for the message.
+        """
+        values = tuple(values)
+        try:
+            values = tuple(map(operator.index, values))
+        except TypeError:
+            values = tuple(map(as_int, values))  # raises, naming the first non-integer
         if not values:
             raise InputError("a block code needs at least one codeword")
-        for v in values:
-            if length < 1 or not 0 <= v < 1 << length:
-                raise InputError(f"value {v} does not fit in {length} bits")
+        if length < 1 or min(values) < 0 or max(values) >> length:
+            for v in values:
+                if length < 1 or not 0 <= v < 1 << length:
+                    raise InputError(f"value {v} does not fit in {length} bits")
         code = object.__new__(cls)
         code._store(values, length)
         return code
@@ -148,7 +174,7 @@ class BlockCode:
 
     @property
     def words(self) -> tuple[Codeword, ...]:
-        return tuple(Codeword.of(v, self.length) for v in self.values)
+        return tuple(map(Codeword.of, self.values, repeat(self.length)))
 
     def strings(self) -> tuple[str, ...]:
         spec = f"0{self.length}b"
@@ -177,10 +203,20 @@ def is_triangular_code(code: BlockCode) -> MembershipCheck:
 
     A member has as many words as bit positions, contains the all-ones
     word, and its lex-descending matrix is upper triangular with ones on
-    the diagonal.  The reason string names the first failed condition.
+    the diagonal.  Sorted row i has no 1 left of column i and a 1 at
+    column i exactly when its bit length is n - i, so n lex-descending
+    n-bit values are a member iff the first is all ones and their bit
+    lengths are n, n-1, ..., 1.  The reason string names the first
+    failed condition.
     """
     reason = _triangular_defect(sorted(code.values, reverse=True), code.length)
     return MembershipCheck(reason is None, reason)
+
+
+def _unit_upper_triangular(values: Iterable[int], n: int) -> bool:
+    """Whether the rows ``values`` of n-bit words form a square unit
+    upper-triangular matrix: row i's bit length is n - i."""
+    return list(map(int.bit_length, values)) == list(range(n, 0, -1))
 
 
 def _triangular_defect(values: list[int], n: int) -> str | None:
@@ -190,11 +226,13 @@ def _triangular_defect(values: list[int], n: int) -> str | None:
         return f"not square: {len(values)} words of length {n}"
     if values[0] != (1 << n) - 1:
         return "all-ones word missing"
+    if _unit_upper_triangular(values, n):
+        return None
     for i, v in enumerate(values):
         defect = _row_defect(v, i, n)
         if defect:
             return f"sorted row {i} {defect}"
-    return None
+    raise InternalInvariantError("a row fails the bit-length test but has no defect")
 
 
 def _row_defect(value: int, i: int, n: int) -> str | None:
@@ -222,7 +260,7 @@ def ensure_all_ones(b: BlockCode) -> BlockCode:
     """Prepend an all-ones row (and a zero column) to the rows of a square unit
     upper-triangular matrix; ``b`` itself when its row 0 is all ones."""
     n = b.length
-    if len(b) != n or any(_row_defect(v, i, n) for i, v in enumerate(b.values)):
+    if not _unit_upper_triangular(b.values, n):
         raise InputError("expected a square unit upper-triangular matrix")
     if b.values[0] == (1 << n) - 1:
         return b
@@ -236,22 +274,17 @@ def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockC
     have free bits right of the diagonal, swept most-significant-first
     in row-major order, so the family arrives in a stable sequence of
     size 2**((n-1)*(n-2)/2).  The bounds are checked on the call, before
-    the first member.
+    the first member, and the rows' ranges, 2**(n-1) - 1 values in all,
+    are held from then on.
     """
     if n < 1:
         raise InputError("n must be positive")
     if n > max_order:
         raise InputError(f"n={n} exceeds the bound {max_order}")
-    # Row i's free bits are its low n-1-i bits; counting `pattern` up
-    # hands them out row-major, most significant first.
-    shapes = [(1 << (n - 1 - i), (n - 2 - i) * (n - 1 - i) // 2) for i in range(1, n)]
+    # row i is 1 at column i and free right of it; row 1 varies slowest
     top = (1 << n) - 1
-
-    def member(pattern: int) -> BlockCode:
-        rows = (diag | (pattern >> shift) & (diag - 1) for diag, shift in shapes)
-        return BlockCode.of((top, *rows), n)
-
-    return map(member, range(1 << (n - 1) * (n - 2) // 2))
+    rows = product(*(range(1 << (n - 1 - i), 1 << (n - i)) for i in range(1, n)))
+    return (BlockCode.of((top, *r), n) for r in rows)
 
 
 def staircase_code(n: int) -> BlockCode:
@@ -271,11 +304,12 @@ class Comparison(enum.Enum):
 def _sorted_members(code: BlockCode, other: BlockCode):
     if code.length != other.length or len(code) != len(other):
         raise InputError("codes must share the same order to be compared")
-    for c in (code, other):
-        check = is_triangular_code(c)
-        if not check:
-            raise InputError(f"not a triangular-family code: {check.reason}")
-    return [sorted(c.values, reverse=True) for c in (code, other)]
+    pair = [sorted(c.values, reverse=True) for c in (code, other)]
+    for values in pair:
+        reason = _triangular_defect(values, code.length)
+        if reason:
+            raise InputError(f"not a triangular-family code: {reason}")
+    return pair
 
 
 def compare_codes_lex(v: BlockCode, w: BlockCode) -> Comparison:

@@ -64,8 +64,9 @@ def construct_from_code(code: BlockCode) -> ConstructionResult:
 
 
 def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
-    """A checked triangular-family code, sorted lex-descending, and the
-    rows of its word order: bit j of row k is set iff word k <= word j.
+    """A checked triangular-family code, sorted lex-descending (``code``
+    itself when it already is), and the rows of its word order: bit j
+    of row k is set iff word k <= word j.
 
     Sorted word k has no 1 left of column k and a 1 at column k, so for
     j < k word j has a 1 where word k has none: bits 0..k-1 of row k
@@ -84,7 +85,9 @@ def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
         rows.append(row)
     if rows[0] != (1 << n) - 1:
         raise InternalInvariantError("all-ones word is not the order minimum")
-    return BlockCode.of(values, n), tuple(rows)
+    if code.values != tuple(values):
+        code = BlockCode.of(values, n)
+    return code, tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,9 @@ def _roundtrip(sorted_code: BlockCode, rows: tuple[int, ...]) -> RoundTripReport
         for k, (w, r) in enumerate(zip(sorted_code.values, rows))
         if w != r
     )
-    return RoundTripReport(not mismatches, BlockCode.of(rows, n), mismatches, not mismatches)
+    # with no mismatch the rows are the sorted code's values (see RoundTripReport)
+    regenerated = BlockCode.of(rows, n) if mismatches else sorted_code
+    return RoundTripReport(not mismatches, regenerated, mismatches, not mismatches)
 
 
 def iter_posets_with_minimum(n: int) -> Iterator[Poset]:

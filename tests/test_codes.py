@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import bckcodes as bc
 from bckcodes.codes import Comparison
@@ -326,3 +326,211 @@ def test_triangular_membership_matches_the_matrix_reference(size, length):
         code = bc.BlockCode.from_strings(chosen)
         check = bc.is_triangular_code(code)
         assert (check.ok, check.reason) == _reference_is_triangular(code), chosen
+
+
+# ------------------------------------------------ bulk checks against the loops
+
+
+def _loop_block_code_of(values, length):
+    """`BlockCode.of`'s checks as it made them one value at a time: the
+    reference for its bulk pass.  Returns the stored values."""
+    values = tuple(map(bc.codes.as_int, values))
+    if not values:
+        raise bc.InputError("a block code needs at least one codeword")
+    for v in values:
+        if length < 1 or not 0 <= v < 1 << length:
+            raise bc.InputError(f"value {v} does not fit in {length} bits")
+    if len(set(values)) != len(values):
+        raise bc.InputError("duplicate codeword")
+    return values
+
+
+def _loop_codeword_of(value, length):
+    """`Codeword.of`'s checks through `as_int`: the reference for its inlined index call."""
+    value = bc.codes.as_int(value)
+    if length < 1 or not 0 <= value < 1 << length:
+        raise bc.InputError(f"value {value} does not fit in {length} bits")
+    return value
+
+
+def _outcome(build, *args):
+    """``build(*args)``'s result, or the message of the `InputError` it raised."""
+    try:
+        return build(*args)
+    except bc.InputError as exc:
+        return ("InputError", str(exc))
+
+
+_value_items = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-3, 40).map(np.int64),
+    st.integers(0, 40).map(np.uint8),
+    st.booleans(),
+    st.sampled_from([np.bool_(True), np.bool_(False), 1.0, np.float64(2.0), "1", None, (1,)]),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(_value_items, max_size=8), st.integers(-1, 6))
+def test_block_code_of_matches_the_per_value_loop(items, length):
+    def stored(values, length):
+        return bc.BlockCode.of(values, length).values
+
+    # the constructor sees a one-shot generator, the loop a list
+    got = _outcome(stored, (v for v in items), length)
+    assert got == _outcome(_loop_block_code_of, list(items), length)
+    if got[0] != "InputError":
+        assert all(type(v) is int for v in got)
+
+
+@given(_value_items, st.integers(-1, 6))
+def test_codeword_of_matches_the_as_int_check(value, length):
+    got = _outcome(lambda v, n: bc.Codeword.of(v, n).value, value, length)
+    assert got == _outcome(_loop_codeword_of, value, length)
+    assert type(got) in (int, tuple)
+
+
+@pytest.mark.parametrize(
+    "values,length,message",
+    [
+        ([np.int64(6), np.uint8(1), np.True_], 3, "np.True_ is not an integer"),
+        ([True, np.int64(2)], 3, None),
+        ([1, 2, 1.5, 3], 3, "1.5 is not an integer"),
+        ([1, 2, "x", -1], 3, "'x' is not an integer"),
+        ([-1, 2], 3, "value -1 does not fit in 3 bits"),
+        ([9, 2], 3, "value 9 does not fit in 3 bits"),
+        ([1, 2, 7, 8, -1], 3, "value 8 does not fit in 3 bits"),
+        ([1, 2, 7, -1, 8], 3, "value -1 does not fit in 3 bits"),
+        ([1], 0, "value 1 does not fit in 0 bits"),
+        ([1], -2, "value 1 does not fit in -2 bits"),
+        ([3, 1, 3], 2, "duplicate codeword"),
+        ([], 3, "a block code needs at least one codeword"),
+        ([], 0, "a block code needs at least one codeword"),
+    ],
+)
+def test_block_code_of_names_the_first_offender_as_the_loop_does(values, length, message):
+    expected = _outcome(_loop_block_code_of, values, length)
+    assert expected == (("InputError", message) if message else (1, 2))
+    # a one-shot generator: the fallback pass must see the same values
+    got = _outcome(lambda v, n: bc.BlockCode.of(v, n).values, (v for v in values), length)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bc.Codeword.from_string("01x"),
+        lambda: bc.Codeword.from_string("١0"),
+        lambda: bc.Codeword.from_string(" 01"),
+        lambda: bc.Codeword.from_string("1_0"),
+        lambda: bc.Codeword.from_string("0121"),
+        lambda: bc.Codeword.from_string(b"01"),
+        lambda: bc.Codeword(["x"]),
+        lambda: bc.Codeword([None]),
+        lambda: bc.Codeword([1.5, 0]),
+        lambda: bc.Codeword([0, 2]),
+        lambda: bc.Codeword(["01"]),
+        lambda: bc.Codeword([[1]]),
+        lambda: bc.BlockCode.from_strings(["10", "0١"]),
+    ],
+    ids=["letter", "arabic-indic-one", "space", "underscore", "digit-two", "bytes", "str-x", "None", "float-1.5",
+         "two", "two-chars", "unhashable", "from-strings"],
+)
+def test_bad_codeword_bits_raise_input_error(build):
+    with pytest.raises(bc.InputError) as exc:
+        build()
+    assert str(exc.value) == "codeword bits must be 0 or 1"
+
+
+def test_codeword_bits_take_numbers_bools_and_bit_characters():
+    bits = [1, 0, True, False, "1", "0", 1.0, np.int64(0), np.uint8(1), np.True_]
+    w = bc.Codeword(bits)
+    assert w.bits == (1, 0, 1, 0, 1, 0, 1, 0, 1, 1)
+    assert w == bc.Codeword.from_string("1010101011")
+    assert bc.BlockCode(["110", "011"]).strings() == ("110", "011")
+    for empty in (lambda: bc.Codeword(()), lambda: bc.Codeword.from_string("")):
+        with pytest.raises(bc.InputError, match="^empty codeword$"):
+            empty()
+
+
+# ------------------------------------------ membership and enumeration order
+
+
+def _loop_triangular_defect(values, n):
+    """Membership of lex-descending values row by row, without the
+    bit-length test: the reference for `_triangular_defect`."""
+    if len(values) != n:
+        return f"not square: {len(values)} words of length {n}"
+    if values[0] != (1 << n) - 1:
+        return "all-ones word missing"
+    for i, v in enumerate(values):
+        defect = bc.codes._row_defect(v, i, n)
+        if defect:
+            return f"sorted row {i} {defect}"
+    return None
+
+
+_value_lists = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.one_of(st.integers(0, (1 << n) - 1), st.sampled_from([(1 << n) - 1, 1 << (n - 1)])),
+            min_size=1, max_size=n + 1, unique=True,
+        ),
+    )
+)
+
+
+@settings(max_examples=500)
+@given(_value_lists)
+def test_bit_length_membership_agrees_with_the_row_loop(case):
+    n, values = case
+    ordered = sorted(values, reverse=True)
+    rows_ok = len(ordered) == n and not any(
+        bc.codes._row_defect(v, i, n) for i, v in enumerate(ordered)
+    )
+    assert bc.codes._unit_upper_triangular(ordered, n) == rows_ok
+    check = bc.is_triangular_code(bc.BlockCode.of(values, n))
+    assert (check.ok, check.reason) == (
+        _loop_triangular_defect(ordered, n) is None,
+        _loop_triangular_defect(ordered, n),
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_bit_length_membership_agrees_with_the_row_loop_on_near_members(n):
+    # every one-bit flip of every member at n <= 4, of the staircase above
+    members = list(bc.enumerate_triangular_codes(n)) if n <= 4 else [bc.staircase_code(n)]
+    for code in members:
+        for k in range(n):
+            for bit in range(n):
+                values = list(code.values)
+                values[k] ^= 1 << bit
+                if len(set(values)) < n:
+                    continue
+                ordered = sorted(values, reverse=True)
+                check = bc.is_triangular_code(bc.BlockCode.of(values, n))
+                assert check.reason == _loop_triangular_defect(ordered, n)
+
+
+def _counted_triangular_codes(n):
+    """The family in its enumeration order, by counting one pattern whose
+    bits are handed out row-major, most significant first: the reference."""
+    shapes = [(1 << (n - 1 - i), (n - 2 - i) * (n - 1 - i) // 2) for i in range(1, n)]
+    top = (1 << n) - 1
+    for pattern in range(1 << (n - 1) * (n - 2) // 2):
+        rows = (diag | (pattern >> shift) & (diag - 1) for diag, shift in shapes)
+        yield (top, *rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_order_matches_pattern_counting(n):
+    got = [c.values for c in bc.enumerate_triangular_codes(n)]
+    assert got == list(_counted_triangular_codes(n))
+    assert all(type(v) is int for v in got[-1])
+
+
+def test_a_member_failing_the_bit_length_test_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(bc.codes, "_unit_upper_triangular", lambda values, n: False)
+    with pytest.raises(bc.InternalInvariantError, match="no defect"):
+        bc.is_triangular_code(bc.staircase_code(4))

@@ -293,6 +293,29 @@ def test_word_order_rows_are_the_incidence_matrix_and_descend_from_the_diagonal(
         assert descend_from_the_diagonal(rows)
 
 
+def test_word_order_returns_an_already_sorted_code_itself():
+    for code in _trusted_sample():
+        assert construct._word_order(code)[0] is code
+    shuffled = bc.BlockCode.of((0b0110, 0b1111, 0b0001, 0b0010), 4)
+    sorted_code = construct._word_order(shuffled)[0]
+    assert sorted_code == bc.lex_sort_desc(shuffled)
+    assert sorted_code is not shuffled
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_roundtrips_regenerate_the_sorted_code(n):
+    exact = 0
+    for code in bc.enumerate_triangular_codes(n):
+        report = bc.verify_roundtrip(code)
+        if report.exact:
+            exact += 1
+            assert report.regenerated == bc.lex_sort_desc(code)
+            assert report.regenerated == bc.BlockCode(report.regenerated.words)
+        else:
+            assert report.regenerated != bc.lex_sort_desc(code)
+    assert exact == _EXACT_ROUNDTRIPS[n - 1]
+
+
 def test_verify_roundtrip_builds_no_poset(monkeypatch):
     built = 0
     init = bc.Poset.__init__

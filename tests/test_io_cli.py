@@ -751,8 +751,11 @@ _pair_counts = st.one_of(st.integers(0, 20), st.sampled_from([4095, 4096, 4097, 
 
 
 @settings(max_examples=60, deadline=None)
-@given(_pair_counts, st.lists(st.integers(), min_size=2), st.randoms(use_true_random=False))
-def test_stream_pairs_joins_to_render_report(count, pool, rng):
+# a seeded Random, not st.randoms: 16,386 draws from st.randoms exceed
+# hypothesis's entropy budget and fail its data_too_large health check
+@given(_pair_counts, st.lists(st.integers(), min_size=2), st.integers(0, 2**32 - 1))
+def test_stream_pairs_joins_to_render_report(count, pool, seed):
+    rng = random.Random(seed)
     xs = [rng.choice(pool) for _ in range(count)]
     ys = [rng.choice(pool) for _ in range(count)]
     payload = {"order": count, "bck": True}
