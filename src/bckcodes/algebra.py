@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import _kernels
-from .codes import as_int, bit_positions, pack_bits
+from .codes import as_int, as_ints, bit_positions, pack_bits
 from .errors import InputError, InternalInvariantError, NotBckError
 
 
@@ -31,16 +31,16 @@ class CayleyAlgebra:
 
     ``table[x][y]`` is the product x*y.  Optional ``names`` are display
     labels only; they never affect equality or hashing.  The constructor
-    checks that the table is square with entries in 0..n-1 and that
-    there is one name per element.  The library skips that check only
-    for tables its own construction keeps in range (see `_trusted`).
+    checks that the table is square with integer entries in 0..n-1 and
+    that there is one name per element.  The library skips that check
+    only for tables its own construction keeps in range (see `_trusted`).
     """
 
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.table)
+        rows = tuple(map(as_ints, self.table))
         n = len(rows)
         if n == 0:
             raise InputError("empty Cayley table")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import _kernels, io
 from .algebra import (
@@ -54,9 +55,7 @@ def _witness_str(witness) -> str:
 
 
 def _property_json(p: PropertyCheck | None):
-    if p is None:
-        return None
-    return {"holds": p.holds, "witness": list(p.witness) if p.witness else None}
+    return None if p is None else asdict(p)
 
 
 def cmd_verify(args) -> int:
@@ -72,24 +71,14 @@ def cmd_verify(args) -> int:
     if args.json:
         payload = {
             "order": alg.order,
-            "axioms": [
-                {
-                    "axiom": c.axiom,
-                    "holds": c.holds,
-                    "witness": list(c.witness) if c.witness else None,
-                    "evaluation": c.evaluation,
-                }
-                for c in report.checks
-            ],
+            "axioms": [asdict(c) for c in report.checks],
             "bci": report.is_bci,
             "bck": report.is_bck,
             "commutative": _property_json(comm),
             "implicative": _property_json(impl),
+            "order_pairs": None if pairs is None else zip(*pairs),
         }
-        if pairs is None:
-            sys.stdout.write(io.render_report("verify", {**payload, "order_pairs": None}))
-        else:
-            sys.stdout.writelines(io.stream_pairs("verify", payload, "order_pairs", *pairs))
+        sys.stdout.writelines(io.stream_report("verify", payload))
     else:
         lines = [f"order: {alg.order}"]
         for c in report.checks:
@@ -132,10 +121,10 @@ def cmd_encode(args) -> int:
     if args.json:
         payload = {
             "order": alg.order,
-            "domain": list(fn.domain),
-            "words": list(code.strings()),
+            "domain": fn.domain,
+            "words": code.strings(),
         }
-        sys.stdout.write(io.render_report("encode", payload))
+        sys.stdout.writelines(io.stream_report("encode", payload))
     else:
         sys.stdout.write(
             io.render_code(code, header=f"{len(code)} codewords of length {code.length}")
@@ -150,13 +139,13 @@ def cmd_construct(args) -> int:
     if args.json:
         payload = {
             "order": result.algebra.order,
-            "table": [list(row) for row in result.algebra.table],
-            "names": list(result.algebra.names),
-            "sorted_code": list(result.code.strings()),
+            "table": result.algebra.table,
+            "names": result.algebra.names,
+            "sorted_code": result.code.strings(),
             "roundtrip": {
                 "exact": trip.exact,
                 "self_describing": trip.self_describing,
-                "regenerated": list(trip.regenerated.strings()),
+                "regenerated": trip.regenerated.strings(),
                 "mismatches": [
                     {
                         "element": m.element,
@@ -167,7 +156,7 @@ def cmd_construct(args) -> int:
                 ],
             },
         }
-        sys.stdout.write(io.render_report("construct", payload))
+        sys.stdout.writelines(io.stream_report("construct", payload))
     else:
         out = io.render_algebra(
             result.algebra, header=f"constructed from {len(result.code)} codewords"
@@ -192,14 +181,14 @@ def cmd_lift(args) -> int:
     result = lift_code(code)
     if args.json:
         payload = {
-            "source": list(result.source_code.strings()),
+            "source": result.source_code.strings(),
             "ambient_order": len(result.ambient),
-            "ambient_matrix": list(result.ambient.strings()),
-            "column_map": list(result.column_map),
-            "domain": list(result.domain),
-            "lifted": list(result.lifted_code.strings()),
+            "ambient_matrix": result.ambient.strings(),
+            "column_map": result.column_map,
+            "domain": result.domain,
+            "lifted": result.lifted_code.strings(),
         }
-        sys.stdout.write(io.render_report("lift", payload))
+        sys.stdout.writelines(io.stream_report("lift", payload))
     else:
         lines = [
             f"# lifted {len(result.source_code)} codewords of length "
@@ -223,9 +212,8 @@ def cmd_enumerate(args) -> int:
         codes = enumerate_triangular_codes(n, max_order=max_order)
         count = 2 ** ((n - 1) * (n - 2) // 2)
         if args.json:
-            payload = {"order": n, "count": count}
-            rows = (list(c.strings()) for c in codes)
-            sys.stdout.writelines(io.stream_report("codes", payload, "codes", rows))
+            payload = {"order": n, "count": count, "codes": (c.strings() for c in codes)}
+            sys.stdout.writelines(io.stream_report("codes", payload))
         else:
             sys.stdout.write(f"count: {count}\n")
             for c in codes:
@@ -252,14 +240,14 @@ def cmd_enumerate(args) -> int:
                 "classes": [
                     {
                         "size": e.size,
-                        "table": [list(row) for row in e.representative.table],
-                        "code": list(e.code.strings()),
-                        "label_canonical_code": list(e.label_canonical.strings()),
+                        "table": e.representative.table,
+                        "code": e.code.strings(),
+                        "label_canonical_code": e.label_canonical.strings(),
                     }
                     for e in report.class_inventory
                 ],
             }
-            sys.stdout.write(io.render_report("census", payload))
+            sys.stdout.writelines(io.stream_report("census", payload))
         else:
             lines = [
                 f"order: {report.order}",
@@ -279,10 +267,10 @@ def cmd_enumerate(args) -> int:
     if args.json:
         payload = {
             "order": algebra.order,
-            "table": [list(row) for row in algebra.table],
-            "code": list(code.strings()),
+            "table": iter(algebra.table),
+            "code": code.strings(),
         }
-        sys.stdout.write(io.render_report("family", payload))
+        sys.stdout.writelines(io.stream_report("family", payload))
     else:
         sys.stdout.write(io.render_algebra(
             algebra, header=f"algebra of the {algebra.order} order-{n} family members"

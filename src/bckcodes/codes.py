@@ -36,6 +36,15 @@ def as_int(value) -> int:
         raise InputError(f"{value!r} is not an integer") from None
 
 
+def as_ints(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints in one pass; `InputError` names the first non-integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(map(as_int, values))  # raises at the first non-integer
+
+
 # The bits `Codeword(bits)` accepts; 0.0, 1.0 and bools hash and compare
 # equal to these keys, and any other value is a KeyError or a TypeError.
 _BIT = {0: 0, 1: 1, "0": 0, "1": 1}
@@ -147,11 +156,7 @@ class BlockCode:
         Each check is one pass over the values; only when it fails does
         a second pass find the first offending value for the message.
         """
-        values = tuple(values)
-        try:
-            values = tuple(map(operator.index, values))
-        except TypeError:
-            values = tuple(map(as_int, values))  # raises, naming the first non-integer
+        values = as_ints(values)
         if not values:
             raise InputError("a block code needs at least one codeword")
         if length < 1 or min(values) < 0 or max(values) >> length:

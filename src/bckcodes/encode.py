@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CayleyAlgebra, check_axioms
-from .codes import BlockCode, Codeword, pack_bits
+from .codes import BlockCode, Codeword, as_int, as_ints, pack_bits
 from .errors import InputError, NotBckError
 
 
@@ -26,7 +26,7 @@ class BckFunction:
 
     def __post_init__(self):
         domain = tuple(str(s) for s in self.domain)
-        values = tuple(int(v) for v in self.values)
+        values = as_ints(self.values)
         if not domain:
             raise InputError("function domain is empty")
         if len(set(domain)) != len(domain):
@@ -51,6 +51,7 @@ class BckFunction:
 def cut_subset(f: BckFunction, r: int) -> tuple[str, ...]:
     """Labels whose image sits above r in the induced order sense."""
     n = f.algebra.order
+    r = as_int(r)
     if not 0 <= r < n:
         raise InputError(f"element {r} outside the carrier 0..{n - 1}")
     t = f.algebra.table

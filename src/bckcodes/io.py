@@ -4,14 +4,32 @@ Algebra files: first data line is the order n, followed by n rows of n
 integers.  Code files: one codeword of 0/1 characters per line.
 Function files: one "label value" pair per line.  In all three, blank
 lines and lines starting with '#' are skipped; duplicate codewords are
-rejected, not deduplicated.  JSON reports carry a report_version tag
-and parse back with `parse_report`.
+rejected, not deduplicated.
+
+JSON reports carry a report_version tag and parse back with
+`parse_report`.  `stream_report` is the one writer; the pieces it
+yields for ``(kind, payload)`` join to exactly
+``json.dumps({"report_version": 1, "kind": kind, **payload}, indent=2)``
+plus a newline, for a payload whose keys are strings:
+
+- A value that is an iterator is drawn lazily and stands for the list
+  of what it yields, each item a flat row: a list or tuple of JSON
+  scalars (ints, floats, bools, None, strings).  The rows are drawn
+  and written 4,096 at a time, so at most one chunk's rows and text
+  are held at once.  In a chunk whose cells are all exactly int, each
+  row is filled into one %-template for its length; in any other
+  chunk each cell is written by `json.dumps`.
+- Every other value is ``json.dumps(value, indent=2)`` with each line
+  break indented two more spaces, which is exact at depth 1 because
+  JSON escapes every newline inside a string.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Iterable, Iterator
+from collections.abc import Iterator
+from itertools import chain, islice
 
 from .algebra import CayleyAlgebra
 from .codes import BlockCode
@@ -137,57 +155,58 @@ def parse_function(text: str, alg: CayleyAlgebra) -> BckFunction:
 
 
 def render_report(kind: str, payload: dict) -> str:
-    body = {"report_version": REPORT_VERSION, "kind": kind}
-    body.update(payload)
-    return json.dumps(body, indent=2) + "\n"
+    """The text of `stream_report`, joined."""
+    return "".join(stream_report(kind, payload))
 
 
-def stream_report(kind: str, payload: dict, key: str, items: Iterable) -> Iterator[str]:
-    """The text of `render_report` with ``payload[key]`` drawn from items.
+def stream_report(kind: str, payload: dict) -> Iterator[str]:
+    """The JSON report of ``kind`` with the fields of ``payload``, in pieces.
 
-    Each item is a list or tuple of JSON scalars (ints, floats, bools,
-    None, strings).  The pieces join to
-    ``render_report(kind, {**payload, key: list(items)})``, with ``key``
-    not in payload, but hold only one item at a time.  Each item is
-    written as `json.dumps(..., indent=2)` would write it at that depth,
-    without that encoder, which is pure Python once ``indent`` is set.
+    Iterator values are drawn a chunk of rows at a time; the contract
+    is in the module docstring.
     """
-    head = render_report(kind, {**payload, key: []})
-    yield head[: -len("]\n}\n")]
-    sep = "\n"
-    for item in items:
-        if item:
-            cells = [str(v) if type(v) is int else json.dumps(v) for v in item]
-            yield f"{sep}    [\n      " + ",\n      ".join(cells) + "\n    ]"
+    sep = "{\n  "
+    for key, value in {"report_version": REPORT_VERSION, "kind": kind, **payload}.items():
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ",\n  "
+        if isinstance(value, Iterator):
+            yield from _stream_rows(value)
         else:
-            yield sep + "    []"
+            # JSON escapes every newline inside a string, so each "\n" is a line break
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+_ROWS_PER_CHUNK = 4096
+
+
+def _stream_rows(rows: Iterator) -> Iterator[str]:
+    """The list of ``rows`` at depth 1, drawn and written a chunk at a time."""
+    sep = "[\n"
+    while chunk := list(islice(rows, _ROWS_PER_CHUNK)):
+        yield sep + _rows_text(chunk)
         sep = ",\n"
-    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
-_PAIRS_PER_CHUNK = 4096
-_PAIR = "    [\n      {},\n      {}\n    ]".format
+def _rows_text(rows: list) -> str:
+    """Flat rows at depth 2, joined by ",\\n", from one template per row length."""
+    cells = tuple(chain.from_iterable(rows))
+    if {*map(type, cells)} != {int}:  # str() writes JSON for an exact int only
+        cells = tuple(map(json.dumps, cells))
+    lengths = {*map(len, rows)}
+    if len(lengths) == 1:  # verify's pairs: no template lookup per row
+        template = ",\n".join([_row_template(*lengths)] * len(rows))
+    else:
+        template = ",\n".join(map(_row_template, map(len, rows)))
+    return template % cells
 
 
-def stream_pairs(kind: str, payload: dict, key: str, xs: list[int], ys: list[int]) -> Iterator[str]:
-    """The text of `render_report` with ``payload[key]`` the pairs [x, y].
-
-    The pieces join to ``render_report(kind, {**payload, key: pairs})``,
-    with ``key`` not in payload and pairs ``[[x, y] for x, y in zip(xs,
-    ys)]`` for int lists of equal length.  Each pair is formatted from
-    one template, as `json.dumps(..., indent=2)` writes it at that depth,
-    and the pairs are joined a chunk at a time, so the text of at most
-    one chunk is held at once.
-    """
-    head = render_report(kind, {**payload, key: []})
-    if not xs:
-        yield head
-        return
-    yield head[: -len("]\n}\n")] + "\n"
-    for i in range(0, len(xs), _PAIRS_PER_CHUNK):
-        chunk = ",\n".join(map(_PAIR, xs[i : i + _PAIRS_PER_CHUNK], ys[i : i + _PAIRS_PER_CHUNK]))
-        yield chunk if i == 0 else ",\n" + chunk
-    yield "\n  ]\n}\n"
+@functools.lru_cache
+def _row_template(length: int) -> str:
+    if not length:
+        return "    []"
+    return "    [\n      " + ",\n      ".join(["%s"] * length) + "\n    ]"
 
 
 def parse_report(text: str) -> dict:

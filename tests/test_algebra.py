@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 import bckcodes as bc
@@ -207,6 +208,24 @@ def test_cayley_table_validation():
         bc.CayleyAlgebra([])
     with pytest.raises(bc.InputError):
         bc.CayleyAlgebra([[0, 0], [1, 0]], names=("only one",))
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0.5], [1, 0]], "0.5 is not an integer"),
+    ([[0, "0"], ["1", 0]], "'0' is not an integer"),
+    ([[0, None], [1, 0]], "None is not an integer"),
+    ([[0, 0], [1.0, 0]], "1.0 is not an integer"),
+])
+def test_cayley_table_rejects_non_integers(table, message):
+    with pytest.raises(bc.InputError) as exc:
+        bc.CayleyAlgebra(table)
+    assert str(exc.value) == message
+
+
+def test_cayley_table_accepts_numpy_ints_and_bools():
+    alg = bc.CayleyAlgebra([[np.int64(0), False], [np.int32(1), 0]])
+    assert alg.table == ((0, 0), (1, 0))
+    assert all(type(v) is int for row in alg.table for v in row)
 
 
 def test_poset_validation():

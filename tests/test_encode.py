@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import bckcodes as bc
@@ -56,6 +57,40 @@ def test_function_validation(alg4_from_code):
         bc.BckFunction(("a", "b"), alg4_from_code, (0,))
     with pytest.raises(bc.InputError):
         bc.BckFunction(("a",), alg4_from_code, (4,))
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.9, "0.9 is not an integer"),
+    ("1", "'1' is not an integer"),
+    (None, "None is not an integer"),
+])
+def test_function_rejects_non_integer_values(value, message, alg4_from_code):
+    with pytest.raises(bc.InputError) as exc:
+        bc.BckFunction(("a", "b"), alg4_from_code, (1, value))
+    assert str(exc.value) == message
+
+
+def test_function_accepts_numpy_ints_and_bools(alg4_from_code):
+    f = bc.BckFunction(("a", "b"), alg4_from_code, (np.int64(3), True))
+    assert f.values == (3, 1)
+    assert all(type(v) is int for v in f.values)
+
+
+@pytest.mark.parametrize("r, message", [
+    (1.5, "1.5 is not an integer"),
+    ("1", "'1' is not an integer"),
+    (None, "None is not an integer"),
+])
+def test_cut_subset_rejects_non_integer_elements(r, message, alg4_from_code):
+    f = bc.BckFunction.identity(alg4_from_code)
+    with pytest.raises(bc.InputError) as exc:
+        bc.cut_subset(f, r)
+    assert str(exc.value) == message
+
+
+def test_cut_subset_accepts_numpy_ints_and_bools(alg4_from_code):
+    f = bc.BckFunction.identity(alg4_from_code)
+    assert bc.cut_subset(f, np.int64(1)) == bc.cut_subset(f, True) == ("1", "2")
 
 
 def test_generated_codes_have_no_duplicates():

@@ -722,49 +722,96 @@ def test_cli_enumerate_codes_above_the_ceiling_exits_2():
     assert proc.stdout == ""
 
 
+def _json_dumps_report(kind, payload):
+    """A report as the standard library's indenting encoder writes it: the writer's oracle."""
+    body = {"report_version": 1, "kind": kind}
+    body.update(payload)
+    return json.dumps(body, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_cli_enumerate_codes_json_streams_the_report(n, capsys):
     assert main(["enumerate", "--order", str(n), "--codes", "--json"]) == 0
     out = capsys.readouterr().out
     codes = [list(c.strings()) for c in bc.enumerate_triangular_codes(n)]
     payload = {"order": n, "count": len(codes), "codes": codes}
-    assert out == io.render_report("codes", payload)
+    assert out == _json_dumps_report("codes", payload)
 
 
 @pytest.mark.parametrize("items", [[], [["1"]], [["11", "01"], ["10", "00"]]])
 def test_stream_report_joins_to_render_report(items):
-    pieces = io.stream_report("codes", {"order": 2}, "codes", iter(items))
-    assert "".join(pieces) == io.render_report("codes", {"order": 2, "codes": items})
-
-
-_json_scalars = st.one_of(st.integers(), st.booleans(), st.none(), st.text(), st.floats())
-
-
-@settings(max_examples=300)
-@given(st.lists(st.one_of(st.lists(_json_scalars, max_size=4), st.tuples(_json_scalars, _json_scalars))))
-def test_stream_report_joins_to_render_report_on_any_flat_items(items):
-    pieces = io.stream_report("verify", {"bck": True}, "order_pairs", iter(items))
-    assert "".join(pieces) == io.render_report("verify", {"bck": True, "order_pairs": items})
-
-
-_pair_counts = st.one_of(st.integers(0, 20), st.sampled_from([4095, 4096, 4097, 8192, 8193]))
-
-
-@settings(max_examples=60, deadline=None)
-# a seeded Random, not st.randoms: 16,386 draws from st.randoms exceed
-# hypothesis's entropy budget and fail its data_too_large health check
-@given(_pair_counts, st.lists(st.integers(), min_size=2), st.integers(0, 2**32 - 1))
-def test_stream_pairs_joins_to_render_report(count, pool, seed):
-    rng = random.Random(seed)
-    xs = [rng.choice(pool) for _ in range(count)]
-    ys = [rng.choice(pool) for _ in range(count)]
-    payload = {"order": count, "bck": True}
-    pieces = list(io.stream_pairs("verify", payload, "order_pairs", xs, ys))
-    pairs = [[x, y] for x, y in zip(xs, ys)]
-    expected = io.render_report("verify", {**payload, "order_pairs": pairs})
+    pieces = io.stream_report("codes", {"order": 2, "codes": iter(items)})
+    expected = _json_dumps_report("codes", {"order": 2, "codes": items})
     assert "".join(pieces) == expected
-    chunks = -(-count // 4096)
-    assert len(pieces) == (2 + chunks if count else 1)
+    assert io.render_report("codes", {"order": 2, "codes": items}) == expected
+
+
+_json_scalars = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.floats(),  # floats include NaN and infinities
+    st.text(), st.text('"\\\n\t/\u00e9\u2028\U0001f600\x00'),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_row_pools = st.one_of(
+    st.lists(st.tuples(st.integers(), st.integers()), min_size=1, max_size=4),  # order pairs
+    *(
+        st.lists(st.one_of(st.lists(cells, max_size=4), st.tuples(cells, cells)), min_size=1, max_size=4)
+        for cells in (st.integers(), st.integers() | st.booleans(), _json_scalars)
+    ),
+)
+_row_counts = st.one_of(st.integers(0, 6), st.sampled_from([4095, 4096, 4097, 8193]))
+
+
+@st.composite
+def _payloads(draw):
+    """A payload for the writer, and the same payload with each row iterator as a list.
+
+    Long row lists cycle through a few drawn rows: drawing 8,193 rows
+    from hypothesis itself exceeds its entropy budget.
+    """
+    streamed, listed = {}, {}
+    for key in draw(st.lists(st.text(max_size=3), max_size=5)):
+        if draw(st.booleans()):
+            listed[key] = draw(_json_values)
+            streamed[key] = listed[key]
+        else:
+            pool, count = draw(_row_pools), draw(_row_counts)
+            listed[key] = [pool[i % len(pool)] for i in range(count)]
+            streamed[key] = iter(listed[key])
+    return streamed, listed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=3), _payloads())
+def test_stream_report_matches_json_dumps_on_any_payload(kind, payloads):
+    streamed, listed = payloads
+    got = "".join(io.stream_report(kind, streamed))
+    expected = _json_dumps_report(kind, listed)
+    if got != expected:  # not a bare assert: pytest would diff 8,193-row texts on every shrink step
+        i = len(os.path.commonprefix([got, expected]))
+        pytest.fail(f"texts differ at {i}: {got[i - 40:i + 40]!r} != {expected[i - 40:i + 40]!r}")
+
+
+def test_stream_report_draws_one_chunk_per_piece():
+    drawn = written = 0
+    row_pieces = []
+
+    def rows():
+        nonlocal drawn
+        for i in range(2 * 4096 + 1):
+            drawn += 1
+            yield i, -i
+
+    for piece in io.stream_report("verify", {"bck": True, "order_pairs": rows(), "after": [1]}):
+        count = piece.count("\n    [")
+        if count:
+            row_pieces.append(count)
+        written += count
+        assert drawn == written  # every row drawn so far is in the pieces yielded
+    assert row_pieces == [4096, 4096, 1]
 
 
 _family_lines = (
@@ -886,9 +933,28 @@ def test_cli_requires_a_mode():
 
 
 def test_cli_json_is_valid_json(tmp_path, capsys):
-    path = _write(tmp_path, "alg.txt", ALG4_TEXT)
-    main(["verify", path, "--json"])
-    json.loads(capsys.readouterr().out)
+    """Every subcommand's --json report is canonical: it re-indents to itself."""
+    alg = _write(tmp_path, "alg.txt", ALG4_TEXT)
+    bad = _write(tmp_path, "bad.txt", "2\n0 0\n1 1\n")
+    fn = _write(tmp_path, "fn.txt", "p 1\nq 3\n")
+    code = _write(tmp_path, "code.txt", "1111\n0110\n0010\n0001\n")
+    inexact = _write(tmp_path, "inexact.txt", "\n".join(rd.ROUNDTRIP_COUNTEREXAMPLE) + "\n")
+    runs = [
+        (["verify", alg], 0),
+        (["verify", bad], 1),
+        (["encode", alg], 0),
+        (["encode", alg, "--function", fn], 0),
+        (["construct", code], 0),
+        (["construct", inexact], 1),
+        (["lift", code], 0),
+        (["enumerate", "--order", "4", "--codes"], 0),
+        (["enumerate", "--order", "4", "--algebras"], 0),
+        (["enumerate", "--order", "4", "--family"], 0),
+    ]
+    for argv, status in runs:
+        assert main([*argv, "--json"]) == status, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_python_m_bckcodes_prints_the_readme_output():
