@@ -795,6 +795,38 @@ def test_stream_report_matches_json_dumps_on_any_payload(kind, payloads):
         pytest.fail(f"texts differ at {i}: {got[i - 40:i + 40]!r} != {expected[i - 40:i + 40]!r}")
 
 
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.lists(_json_scalars, max_size=4), st.tuples(_json_scalars, _json_scalars))))
+def test_stream_report_joins_to_render_report_on_any_flat_items(items):
+    pieces = io.stream_report("verify", {"bck": True, "order_pairs": iter(items)})
+    expected = _json_dumps_report("verify", {"bck": True, "order_pairs": items})
+    assert "".join(pieces) == expected
+    assert io.render_report("verify", {"bck": True, "order_pairs": items}) == expected
+
+
+_pair_counts = st.one_of(st.integers(0, 20), st.sampled_from([4095, 4096, 4097, 8192, 8193]))
+
+
+@settings(max_examples=60, deadline=None)
+# a seeded Random, not st.randoms: 16,386 draws from st.randoms exceed
+# hypothesis's entropy budget and fail its data_too_large health check
+@given(_pair_counts, st.lists(st.integers(), min_size=2), st.integers(0, 2**32 - 1))
+def test_stream_pairs_joins_to_render_report(count, pool, seed):
+    rng = random.Random(seed)
+    xs = [rng.choice(pool) for _ in range(count)]
+    ys = [rng.choice(pool) for _ in range(count)]
+    payload = {"order": count, "bck": True}
+    pieces = list(io.stream_report("verify", {**payload, "order_pairs": zip(xs, ys)}))
+    pairs = [[x, y] for x, y in zip(xs, ys)]
+    expected = _json_dumps_report("verify", {**payload, "order_pairs": pairs})
+    assert "".join(pieces) == expected
+    assert io.render_report("verify", {**payload, "order_pairs": pairs}) == expected
+    # the pairs' pieces: one per chunk of 4,096 and the closing bracket, or "[]"
+    row_pieces = pieces[pieces.index(',\n  "order_pairs": ') + 1:-1]
+    chunks = -(-count // 4096)
+    assert len(row_pieces) == (chunks + 1 if count else 1)
+
+
 def test_stream_report_draws_one_chunk_per_piece():
     drawn = written = 0
     row_pieces = []
