@@ -40,7 +40,10 @@ class CayleyAlgebra:
     names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        rows = tuple(map(as_ints, self.table))
+        try:
+            rows = tuple(map(as_ints, self.table))
+        except TypeError:
+            raise InputError(f"{self.table!r} is not a table of integer rows") from None
         n = len(rows)
         if n == 0:
             raise InputError("empty Cayley table")
@@ -80,7 +83,10 @@ def _checked_names(names, n: int) -> tuple[str, ...] | None:
     """``names`` as n strings (None stays None); `InputError` on a wrong count."""
     if names is None:
         return None
-    names = tuple(str(s) for s in names)
+    try:
+        names = tuple(str(s) for s in names)
+    except TypeError:
+        raise InputError(f"names {names!r} are not a sequence") from None
     if len(names) != n:
         raise InputError("need exactly one name per element")
     return names
@@ -143,7 +149,10 @@ class Poset:
     minimum: int | None
 
     def __init__(self, rows):
-        rows = tuple(map(as_int, rows))
+        try:
+            rows = tuple(map(as_int, rows))
+        except TypeError:
+            raise InputError(f"{rows!r} is not a sequence of poset rows") from None
         n = len(rows)
         if n == 0 or any(not 0 <= r < 2**n for r in rows):
             raise InputError("poset rows must be non-empty and fit in n bits")

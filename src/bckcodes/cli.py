@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .census import census
 from .codes import enumerate_triangular_codes
-from .construct import _roundtrip, construct_from_code
+from .construct import RoundTripReport, construct_from_code
 from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
 from .lift import family_algebra, lift_code
@@ -135,7 +135,7 @@ def cmd_encode(args) -> int:
 def cmd_construct(args) -> int:
     code = io.parse_code(_read(args.code))
     result = construct_from_code(code)
-    trip = _roundtrip(result.code, result.poset.rows)
+    trip = RoundTripReport(result.code, result.poset.rows)
     if args.json:
         payload = {
             "order": result.algebra.order,

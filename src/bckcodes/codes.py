@@ -38,7 +38,10 @@ def as_int(value) -> int:
 
 def as_ints(values) -> tuple[int, ...]:
     """``values`` as a tuple of ints in one pass; `InputError` names the first non-integer."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InputError(f"{values!r} is not a sequence of integers") from None
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -48,6 +51,9 @@ def as_ints(values) -> tuple[int, ...]:
 # The bits `Codeword(bits)` accepts; 0.0, 1.0 and bools hash and compare
 # equal to these keys, and any other value is a KeyError or a TypeError.
 _BIT = {0: 0, 1: 1, "0": 0, "1": 1}
+
+# The bytes of a word's binary digits, b"0" and b"1", as the bits 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def bit_positions(value: int, length: int) -> list[int]:
@@ -85,8 +91,11 @@ class Codeword:
             value = operator.index(value)
         except TypeError:
             raise InputError(f"{value!r} is not an integer") from None
-        if length < 1 or not 0 <= value < 1 << length:
-            raise InputError(f"value {value} does not fit in {length} bits")
+        try:
+            if length < 1 or not 0 <= value < 1 << length:
+                raise InputError(f"value {value} does not fit in {length} bits")
+        except TypeError:
+            raise InputError(f"length {length!r} is not an integer") from None
         w = object.__new__(cls)
         fields = w.__dict__  # one dict write per field; the dataclass is frozen
         fields["value"] = value
@@ -104,7 +113,8 @@ class Codeword:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple([self.value >> s & 1 for s in range(self.length - 1, -1, -1)])
+        # a sentinel 1 above bit 0 keeps the leading zeros; [3:] drops "0b1"
+        return tuple(bin(self.value | 1 << self.length).encode()[3:].translate(_BIT_BYTES))
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b")
@@ -141,7 +151,10 @@ class BlockCode:
     length: int
 
     def __init__(self, words):
-        words = tuple(w if isinstance(w, Codeword) else Codeword(tuple(w)) for w in words)
+        try:
+            words = tuple(w if isinstance(w, Codeword) else Codeword(tuple(w)) for w in words)
+        except TypeError:
+            raise InputError("a block code takes codewords or sequences of bits") from None
         if not words:
             raise InputError("a block code needs at least one codeword")
         length = len(words[0])
@@ -159,10 +172,13 @@ class BlockCode:
         values = as_ints(values)
         if not values:
             raise InputError("a block code needs at least one codeword")
-        if length < 1 or min(values) < 0 or max(values) >> length:
-            for v in values:
-                if length < 1 or not 0 <= v < 1 << length:
-                    raise InputError(f"value {v} does not fit in {length} bits")
+        try:
+            if length < 1 or min(values) < 0 or max(values) >> length:
+                for v in values:
+                    if length < 1 or not 0 <= v < 1 << length:
+                        raise InputError(f"value {v} does not fit in {length} bits")
+        except TypeError:
+            raise InputError(f"length {length!r} is not an integer") from None
         code = object.__new__(cls)
         code._store(values, length)
         return code
@@ -282,6 +298,7 @@ def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockC
     the first member, and the rows' ranges, 2**(n-1) - 1 values in all,
     are held from then on.
     """
+    n = as_int(n)
     if n < 1:
         raise InputError("n must be positive")
     if n > max_order:
@@ -294,6 +311,7 @@ def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockC
 
 def staircase_code(n: int) -> BlockCode:
     """The member whose sorted row k is k zeros followed by n-k ones."""
+    n = as_int(n)
     if n < 1:
         raise InputError("n must be positive")
     return BlockCode.of([(1 << (n - i)) - 1 for i in range(n)], n)

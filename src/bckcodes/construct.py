@@ -9,6 +9,7 @@ how faithfully the canonical code of that algebra reproduces the input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -101,42 +102,55 @@ class RowMismatch:
 class RoundTripReport:
     """How the regenerated canonical code relates to the input code.
 
+    The report holds its inputs: ``code``, the sorted input code, and
+    ``rows``, the rows of its word order as `_word_order` returns them
+    (bit j of row k is set iff word k <= word j).  Every other field is
+    derived from the two when it is read.
+
     ``exact`` compares the regenerated code with the sorted input as
     sequences.  ``self_describing`` holds when the sorted matrix already
-    equals the word-order incidence matrix of its own rows (entry (k, j)
-    is 1 iff word k <= word j).  Row k of that matrix is the word the
-    algebra produces for element k, and the regenerated code is those
-    rows sorted lex-descending.  Each row's leading 1 is on the
-    diagonal (see `_word_order`), so the rows are already strictly
-    descending: the regenerated code is the rows in order, and it equals
-    the sorted input exactly when no row mismatches.  So ``exact`` and
-    ``self_describing`` are both ``not mismatches``.  The report reads
-    only the sorted code and its word order, so `verify_roundtrip`
-    builds no poset and no table.
+    equals the word-order incidence matrix of its own rows.  Row k of
+    that matrix is the word the algebra produces for element k, and the
+    regenerated code is those rows sorted lex-descending.  Each row's
+    leading 1 is on the diagonal (see `_word_order`), so the rows are
+    already strictly descending: the regenerated code is the rows in
+    order, and it equals the sorted input exactly when no row
+    mismatches.  So ``exact`` and ``self_describing`` are both
+    ``not mismatches``, that is ``code.values == rows``.  ``regenerated``
+    and ``mismatches`` are built by the checked constructors on first
+    read and cached; equality and hashing come from ``(code, rows)``,
+    which determine every field.  The report reads only the sorted code
+    and its word order, so `verify_roundtrip` builds no poset and no
+    table, and no codeword until ``mismatches`` is read.
     """
 
-    exact: bool
-    regenerated: BlockCode
-    mismatches: tuple[RowMismatch, ...]
-    self_describing: bool
+    code: BlockCode
+    rows: tuple[int, ...]
+
+    @property
+    def exact(self) -> bool:
+        return self.code.values == self.rows
+
+    self_describing = exact
+
+    @functools.cached_property
+    def regenerated(self) -> BlockCode:
+        # with no mismatch the rows are the sorted code's values (see above)
+        return self.code if self.exact else BlockCode.of(self.rows, self.code.length)
+
+    @functools.cached_property
+    def mismatches(self) -> tuple[RowMismatch, ...]:
+        n = len(self.rows)
+        return tuple(
+            RowMismatch(k, Codeword.of(w, n), Codeword.of(r, n))
+            for k, (w, r) in enumerate(zip(self.code.values, self.rows))
+            if w != r
+        )
 
 
 def verify_roundtrip(code: BlockCode) -> RoundTripReport:
     """The round-trip report of a triangular-family code."""
-    return _roundtrip(*_word_order(code))
-
-
-def _roundtrip(sorted_code: BlockCode, rows: tuple[int, ...]) -> RoundTripReport:
-    """The round-trip report, read off the rows of the code's word order."""
-    n = len(rows)
-    mismatches = tuple(
-        RowMismatch(k, Codeword.of(w, n), Codeword.of(r, n))
-        for k, (w, r) in enumerate(zip(sorted_code.values, rows))
-        if w != r
-    )
-    # with no mismatch the rows are the sorted code's values (see RoundTripReport)
-    regenerated = BlockCode.of(rows, n) if mismatches else sorted_code
-    return RoundTripReport(not mismatches, regenerated, mismatches, not mismatches)
+    return RoundTripReport(*_word_order(code))
 
 
 def iter_posets_with_minimum(n: int) -> Iterator[Poset]:

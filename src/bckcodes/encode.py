@@ -25,7 +25,10 @@ class BckFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        domain = tuple(str(s) for s in self.domain)
+        try:
+            domain = tuple(str(s) for s in self.domain)
+        except TypeError:
+            raise InputError(f"function domain {self.domain!r} is not a sequence") from None
         values = as_ints(self.values)
         if not domain:
             raise InputError("function domain is empty")

@@ -17,8 +17,10 @@ plus a newline, for a payload whose keys are strings:
   scalars (ints, floats, bools, None, strings).  The rows are drawn
   and written 4,096 at a time, so at most one chunk's rows and text
   are held at once.  In a chunk whose cells are all exactly int, each
-  row is filled into one %-template for its length; in any other
-  chunk each cell is written by `json.dumps`.
+  row is filled into one %-template for its length.  In a chunk
+  whose cells are all exactly str and hold only printable ASCII
+  without a quote or a backslash, each cell is its text in quotes;
+  in any other chunk each cell is written by `json.dumps`.
 - Every other value is ``json.dumps(value, indent=2)`` with each line
   break indented two more spaces, which is exact at depth 1 because
   JSON escapes every newline inside a string.
@@ -192,7 +194,10 @@ def _stream_rows(rows: Iterator) -> Iterator[str]:
 def _rows_text(rows: list) -> str:
     """Flat rows at depth 2, joined by ",\\n", from one template per row length."""
     cells = tuple(chain.from_iterable(rows))
-    if {*map(type, cells)} != {int}:  # str() writes JSON for an exact int only
+    types = {*map(type, cells)}
+    if types == {str} and _plain("".join(cells)):
+        cells = tuple([f'"{c}"' for c in cells])
+    elif types != {int}:  # str() writes JSON for an exact int only
         cells = tuple(map(json.dumps, cells))
     lengths = {*map(len, rows)}
     if len(lengths) == 1:  # verify's pairs: no template lookup per row
@@ -200,6 +205,12 @@ def _rows_text(rows: list) -> str:
     else:
         template = ",\n".join(map(_row_template, map(len, rows)))
     return template % cells
+
+
+def _plain(text: str) -> bool:
+    """Whether `json.dumps` writes each string in ``text`` as itself in quotes:
+    it escapes only the quote, the backslash and what is not printable ASCII."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 @functools.lru_cache

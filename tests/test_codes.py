@@ -453,6 +453,58 @@ def test_codeword_bits_take_numbers_bools_and_bit_characters():
             empty()
 
 
+def _comprehension_bits(w: bc.Codeword) -> tuple[int, ...]:
+    """A word's bits one shift at a time: the reference for `Codeword.bits`."""
+    return tuple([w.value >> s & 1 for s in range(w.length - 1, -1, -1)])
+
+
+def test_codeword_bits_match_the_comprehension_on_every_short_word():
+    for n in range(1, 13):
+        for v in range(1 << n):
+            w = bc.Codeword.of(v, n)
+            assert w.bits == _comprehension_bits(w)
+            assert bc.Codeword(w.bits) == w
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_codeword_bits_match_the_comprehension_on_long_words(n):
+    rng = random.Random(n)
+    values = [0, 1, (1 << n) - 1, 1 << (n - 1)]
+    values += [rng.getrandbits(n) for _ in range(50)]
+    values += [rng.getrandbits(rng.randrange(1, n)) for _ in range(50)]  # leading zeros
+    for v in values:
+        w = bc.Codeword.of(v, n)
+        assert len(w.bits) == n
+        assert w.bits == _comprehension_bits(w)
+        assert bc.Codeword(w.bits) == w
+
+
+def _one_by_one():
+    return bc.CayleyAlgebra(((0,),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: bc.CayleyAlgebra([1, 2]), "1 is not a sequence of integers"),
+        (lambda: bc.CayleyAlgebra(((0,),), names=5), "names 5 are not a sequence"),
+        (lambda: bc.BckFunction(("a",), _one_by_one(), 5), "5 is not a sequence of integers"),
+        (lambda: bc.BlockCode.of([1], "x"), "length 'x' is not an integer"),
+        (lambda: bc.Codeword.of(1, None), "length None is not an integer"),
+        (lambda: bc.Poset(5), "5 is not a sequence of poset rows"),
+        (lambda: bc.BlockCode(5), "a block code takes codewords or sequences of bits"),
+        (lambda: bc.enumerate_triangular_codes("3"), "'3' is not an integer"),
+        (lambda: bc.staircase_code(2.0), "2.0 is not an integer"),
+    ],
+    ids=["table-of-ints", "names-int", "function-values-int", "code-length-str", "word-length-None",
+         "poset-int", "code-int", "enumerate-str", "staircase-float"],
+)
+def test_constructors_raise_input_error_on_the_wrong_type(build, message):
+    with pytest.raises(bc.InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 # ------------------------------------------ membership and enumeration order
 
 

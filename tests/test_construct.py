@@ -240,8 +240,8 @@ def test_poset_iteration_is_deterministic():
     assert first == second
 
 
-def _validated_report(sorted_code: bc.BlockCode, poset: bc.Poset) -> bc.RoundTripReport:
-    """The round-trip report rebuilt with the public, checking constructors."""
+def assert_validated_report(report: bc.RoundTripReport, sorted_code: bc.BlockCode, poset: bc.Poset):
+    """Each field of ``report`` equals the one rebuilt with the public, checking constructors."""
     n = poset.order
     regenerated = bc.BlockCode(tuple(bc.Codeword.of(r, n) for r in sorted(poset.rows, reverse=True)))
     mismatches = tuple(
@@ -249,7 +249,10 @@ def _validated_report(sorted_code: bc.BlockCode, poset: bc.Poset) -> bc.RoundTri
         for k, (w, r) in enumerate(zip(sorted_code.words, poset.rows))
         if w.value != r
     )
-    return bc.RoundTripReport(regenerated == sorted_code, regenerated, mismatches, not mismatches)
+    assert report.exact is (regenerated == sorted_code)
+    assert report.self_describing is (not mismatches)
+    assert report.regenerated == regenerated
+    assert report.mismatches == mismatches
 
 
 def _trusted_sample():
@@ -273,7 +276,8 @@ def test_trusted_path_equals_the_validated_path():
         assert sorted_code == bc.BlockCode(sorted_code.words)
         assert result.code == sorted_code
         report = bc.verify_roundtrip(code)
-        assert report == _validated_report(bc.BlockCode(result.code.words), poset)
+        assert_validated_report(report, bc.BlockCode(result.code.words), poset)
+        assert report == bc.RoundTripReport(result.code, poset.rows)
         assert report.regenerated == bc.BlockCode(report.regenerated.words)
 
 
@@ -377,7 +381,21 @@ def test_exact_roundtrip_counts(n):
     assert all(r.exact == r.self_describing for r in reports)
 
 
+def test_roundtrip_reports_compare_by_code_and_rows():
+    exact, inexact = bc.staircase_code(4), bc.BlockCode.of((0b1111, 0b0110, 0b0011, 0b0001), 4)
+    for code in (exact, inexact):
+        first, second = bc.verify_roundtrip(code), bc.verify_roundtrip(code)
+        first.mismatches, first.regenerated  # cached on the first report only
+        assert "mismatches" in vars(first) and "mismatches" not in vars(second)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first == bc.RoundTripReport(*construct._word_order(code))
+    assert bc.verify_roundtrip(exact) != bc.verify_roundtrip(inexact)
+
+
 def test_roundtrip_builds_codewords_only_for_mismatches(monkeypatch):
+    """`verify_roundtrip` builds no codeword; the first read of
+    ``mismatches`` builds two per mismatch, and later reads none."""
     calls = 0
     of = bc.Codeword.of
 
@@ -391,8 +409,14 @@ def test_roundtrip_builds_codewords_only_for_mismatches(monkeypatch):
     for code in bc.enumerate_triangular_codes(7):
         before = calls
         report = bc.verify_roundtrip(code)
-        assert calls - before == 2 * len(report.mismatches)
-        mismatches += len(report.mismatches)
+        assert calls == before
+        found = report.mismatches
+        assert calls - before == 2 * len(found)
+        assert report.exact is (not found)
+        before = calls
+        assert report.mismatches is found
+        assert calls == before
+        mismatches += len(found)
     assert mismatches > 0
     assert calls == 2 * mismatches
 

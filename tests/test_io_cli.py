@@ -804,6 +804,29 @@ def test_stream_report_joins_to_render_report_on_any_flat_items(items):
     assert io.render_report("verify", {"bck": True, "order_pairs": items}) == expected
 
 
+# What `json.dumps` writes as the text in quotes, and what it escapes:
+# the quote, the backslash, control characters, DEL and non-ASCII text.
+_plain_strings = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'))
+_escaped_strings = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f\x80\u00e9\u2028\U0001f600 a~'), min_size=1)
+_AWKWARD = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x80", "\u00e9", "\u2028", "\U0001f600"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_plain_strings | _escaped_strings, max_size=4), min_size=1, max_size=8))
+def test_string_rows_match_json_dumps(items):
+    pieces = io.stream_report("codes", {"order": 2, "codes": iter(items)})
+    assert "".join(pieces) == _json_dumps_report("codes", {"order": 2, "codes": items})
+
+
+@pytest.mark.parametrize("awkward", [None, *_AWKWARD, "".join(_AWKWARD)])
+def test_string_chunk_with_one_escaped_cell_matches_json_dumps(awkward):
+    items = [["1111", "0110"], ["", " !#$%&'()*+,-./09:;<=>?@AZ[]^_`az{|}~"]] * 3000
+    if awkward is not None:
+        items[4500] = ["0011", f"x{awkward}y"]  # in the second chunk of 4,096 rows
+    got = "".join(io.stream_report("codes", {"order": 4, "codes": iter(items)}))
+    assert got == _json_dumps_report("codes", {"order": 4, "codes": items})
+
+
 _pair_counts = st.one_of(st.integers(0, 20), st.sampled_from([4095, 4096, 4097, 8192, 8193]))
 
 
