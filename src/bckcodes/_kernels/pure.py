@@ -13,7 +13,9 @@ up, the axiom scan copies the table once into an int32 array and runs on
 it with whole-table numpy operations; below that it indexes the rows in
 plain loops.  Witnesses stay lexicographically first in (x, y, z)
 either way.  The property scans and `order_pairs` run on the array at
-every order, and scans of one table in a row share one copy.
+every order, and scans of one table in a row share one copy.  numpy is
+imported by the first array scan, not with the module, so the search
+and every path that never scans an array start without it.
 
 On the array path axiom 1 is first decided by a theorem (Iseki and
 Tanaka, Math. Japonica 23, 1978).  If axiom 2 holds, the exchange
@@ -59,7 +61,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
-import numpy as np
+np = None  # numpy, bound by the first `_array` call
 
 _NUMPY_MIN_ORDER = 32
 _BLOCK = 64  # pairs per block in the monotonicity check
@@ -92,7 +94,9 @@ def _array(table):
     Tuples cannot change under the array; other tables are copied on
     every call.
     """
-    global _held
+    global _held, np
+    if np is None:  # every array path starts at `_array`
+        import numpy as np
     held, T = _held
     if held is table:
         return T

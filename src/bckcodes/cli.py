@@ -2,13 +2,14 @@
 
 Subcommands: verify, encode, construct, lift, enumerate.  Input paths
 accept '-' for stdin.  Exit codes: 0 success, 1 a checked property
-failed (axioms, exact round trip), 2 malformed input or unmet
-hypothesis, 3 internal invariant breach.
+failed (axioms, exact round trip), 2 malformed input, unmet
+hypothesis or a closed output, 3 internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -337,4 +338,13 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at
+        # interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: cannot write to stdout: the reader closed it\n")
+        status = 2
+    sys.exit(status)

@@ -1,6 +1,7 @@
 """Plain-text file formats and JSON reports used by the CLI.
 
 Algebra files: first data line is the order n, followed by n rows of n
+integers.  Orders, table entries and function values are ASCII decimal
 integers.  Code files: one codeword of 0/1 characters per line.
 Function files: one "label value" pair per line.  In all three, blank
 lines and lines starting with '#' are skipped; duplicate codewords are
@@ -50,13 +51,23 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
+def _int(text: str) -> int:
+    """``int(text)`` for ASCII text with no '_'; `ValueError` for any other text.
+
+    ``int`` alone also takes other scripts' digits and '_' separators.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_algebra(text: str) -> CayleyAlgebra:
     lines = list(_data_lines(text))
     if not lines:
         raise ParseError("no data lines in algebra input")
     lineno, head = lines[0]
     try:
-        n = int(head)
+        n = _int(head)
     except ValueError:
         raise ParseError(f"expected the order, got {head!r}", lineno) from None
     if n < 1:
@@ -75,7 +86,7 @@ def parse_algebra(text: str) -> CayleyAlgebra:
             row = tuple(map(cell.__getitem__, parts))
         except KeyError:  # "03", "-1", "x" and the like: int decides
             try:
-                row = tuple(map(int, parts))
+                row = tuple(map(_int, parts))
             except ValueError:
                 raise ParseError("table entries must be integers", lineno) from None
             if min(row) < 0 or max(row) >= n:
@@ -141,7 +152,7 @@ def parse_function(text: str, alg: CayleyAlgebra) -> BckFunction:
             raise ParseError("expected 'label value'", lineno)
         label, value = parts
         try:
-            v = int(value)
+            v = _int(value)
         except ValueError:
             raise ParseError(f"value must be an integer, got {value!r}", lineno) from None
         if not 0 <= v < alg.order:

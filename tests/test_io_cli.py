@@ -6,6 +6,7 @@ import io as stdio
 import json
 import os
 import random
+import re
 import resource
 import signal
 import subprocess
@@ -13,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,8 +113,15 @@ def test_parse_algebra_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+def _ascii_int(token):
+    """`int` on ASCII decimal text: a sign at most, then the digits 0-9."""
+    if re.fullmatch(r"[+-]?[0-9]+", token) is None:
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_algebra_reference(text):
-    """The rows as `io.parse_algebra` read them with `int`, after a valid header."""
+    """The rows as `io.parse_algebra` reads them with `_ascii_int`, after a valid header."""
     (_, head), *lines = io._data_lines(text)
     n = int(head)
     rows = []
@@ -121,7 +130,7 @@ def _parse_algebra_reference(text):
         if len(parts) != n:
             raise bc.ParseError(f"expected {n} entries, found {len(parts)}", lineno)
         try:
-            row = tuple(map(int, parts))
+            row = tuple(map(_ascii_int, parts))
         except ValueError:
             raise bc.ParseError("table entries must be integers", lineno) from None
         if min(row) < 0 or max(row) >= n:
@@ -137,9 +146,10 @@ def _parse_outcome(parse, text):
         return str(exc), exc.line
 
 
-# Spellings `int` reads but the cell lookup does not, and tokens it rejects.
-_SPELLINGS = ["03", "+3", "-0", "+0", "00", "1_0", "\uff13", "\u0663", "4", "-1", "99",
-              "x", "1.0", "0x1", "3a", "_1"]
+# Spellings `int` reads but the cell lookup does not, and tokens it rejects;
+# "1_0", "\uff13", "\uff11" and "\u0663" are read by `int` but not by the parser.
+_SPELLINGS = ["03", "+3", "-0", "+0", "00", "1_0", "\uff13", "\uff11", "\u0663", "4", "-1",
+              "99", "x", "1.0", "0x1", "3a", "_1"]
 
 
 def _check_parse_against_reference(text):
@@ -175,6 +185,27 @@ def test_parse_algebra_reads_every_spelling_as_int_does(token):
 def test_parse_algebra_matches_the_int_parser(case):
     n, rows = case
     _check_parse_against_reference(f"{n}\n" + "".join(" ".join(r) + "\n" for r in rows))
+
+
+# Digits of other scripts and '_' separators, each of which `int` reads.
+_NOT_ASCII_DECIMAL = ["\u0663", "\uff11", "1_0"]
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_DECIMAL)
+def test_parse_algebra_rejects_a_header_int_reads_but_not_as_ascii(token):
+    n = int(token)
+    text = f"{token}\n" + "".join(" ".join(["0"] * n) + "\n" for _ in range(n))
+    with pytest.raises(bc.ParseError) as exc:
+        io.parse_algebra(text)
+    assert str(exc.value) == f"line 1: expected the order, got {token!r}"
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_DECIMAL)
+def test_parse_function_rejects_a_value_int_reads_but_not_as_ascii(token):
+    alg = bc.CayleyAlgebra(_times_indicator([[0]], 4))  # order 16, so int(token) fits
+    with pytest.raises(bc.ParseError) as exc:
+        io.parse_function(f"a 0\nb {token}\n", alg)
+    assert str(exc.value) == f"line 2: value must be an integer, got {token!r}"
 
 
 def test_parse_code_roundtrip():
@@ -350,14 +381,15 @@ def order_1024_path(tmp_path_factory):
 
 def test_cli_verify_copies_the_table_to_an_array_once(order_1024_path, monkeypatch):
     copies = 0
-    fromiter = pure.np.fromiter
+    # patch numpy itself: pure.np is None until the first array scan binds it
+    fromiter = numpy.fromiter
 
     def counting(*args, **kwargs):
         nonlocal copies
         copies += 1
         return fromiter(*args, **kwargs)
 
-    monkeypatch.setattr(pure.np, "fromiter", counting)
+    monkeypatch.setattr(numpy, "fromiter", counting)
     bc.check_axioms.cache_clear()
     with contextlib.redirect_stdout(stdio.StringIO()):
         assert main(["verify", "--json", order_1024_path]) == 0
@@ -720,6 +752,47 @@ def test_cli_enumerate_codes_above_the_ceiling_exits_2():
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+def test_cli_closed_stdout_exits_2_without_a_traceback():
+    # The order-7 listing is about 1.8 MB, far more than a pipe buffer, so
+    # the command is still writing when the reader closes the pipe.
+    src = str(Path(bc.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bckcodes", "enumerate", "--codes", "--order", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"count: 32768\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err == "error: cannot write to stdout: the reader closed it\n"
+
+
+def test_cli_output_buffered_for_a_closed_pipe_exits_2_with_one_error_line():
+    # The read end is closed before the command starts, and a buffered
+    # stdout holds the small output until the last flush, which fails; the
+    # flush at interpreter exit must not fail again (exit 120).
+    src = str(Path(bc.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bckcodes", "enumerate", "--family", "--order", "4"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write to stdout: the reader closed it\n"
 
 
 def _json_dumps_report(kind, payload):
