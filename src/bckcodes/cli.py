@@ -3,12 +3,15 @@
 Subcommands: verify, encode, construct, lift, enumerate.  Input paths
 accept '-' for stdin.  Exit codes: 0 success, 1 a checked property
 failed (axioms, exact round trip), 2 malformed input, unmet
-hypothesis or a closed output, 3 internal invariant breach.
+hypothesis or an output that cannot be written (closed or full), 3
+internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 from dataclasses import asdict
@@ -339,12 +342,17 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     try:
+        if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         status = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so the flush at
+    except OSError as exc:
+        # main() turns every read error into InputError, so writing the
+        # output failed.  Point stdout at devnull so the flush at
         # interpreter exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write("error: cannot write to stdout: the reader closed it\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        reason = "the reader closed it" if isinstance(exc, BrokenPipeError) else exc.strerror
+        with contextlib.suppress(AttributeError, OSError):  # stderr is closed too: no line
+            sys.stderr.write(f"error: cannot write to stdout: {reason}\n")
         status = 2
     sys.exit(status)

@@ -96,11 +96,7 @@ class Codeword:
                 raise InputError(f"value {value} does not fit in {length} bits")
         except TypeError:
             raise InputError(f"length {length!r} is not an integer") from None
-        w = object.__new__(cls)
-        fields = w.__dict__  # one dict write per field; the dataclass is frozen
-        fields["value"] = value
-        fields["length"] = length
-        return w
+        return _codeword(value, length)
 
     @classmethod
     def from_string(cls, s: str) -> "Codeword":
@@ -125,6 +121,15 @@ class Codeword:
     @property
     def support(self) -> frozenset[int]:
         return frozenset(bit_positions(self.value, self.length))
+
+
+def _codeword(value: int, length: int) -> Codeword:
+    """The `Codeword` of an int ``value`` known to fit in ``length`` >= 1 bits."""
+    w = object.__new__(Codeword)
+    fields = w.__dict__  # one dict write per field; the dataclass is frozen
+    fields["value"] = value
+    fields["length"] = length
+    return w
 
 
 def word_leq(a: Codeword, b: Codeword) -> bool:
@@ -160,7 +165,8 @@ class BlockCode:
         length = len(words[0])
         if any(len(w) != length for w in words):
             raise InputError("codewords must share one length")
-        self._store(tuple(w.value for w in words), length)
+        values = _distinct(tuple(w.value for w in words))
+        vars(self).update(values=values, length=length)  # the dataclass is frozen
 
     @classmethod
     def of(cls, values, length: int) -> "BlockCode":
@@ -179,15 +185,7 @@ class BlockCode:
                         raise InputError(f"value {v} does not fit in {length} bits")
         except TypeError:
             raise InputError(f"length {length!r} is not an integer") from None
-        code = object.__new__(cls)
-        code._store(values, length)
-        return code
-
-    def _store(self, values: tuple[int, ...], length: int) -> None:
-        if len(set(values)) != len(values):
-            raise InputError("duplicate codeword")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "length", length)
+        return _block_code(_distinct(values), length)
 
     @classmethod
     def from_strings(cls, strings) -> "BlockCode":
@@ -195,7 +193,8 @@ class BlockCode:
 
     @property
     def words(self) -> tuple[Codeword, ...]:
-        return tuple(map(Codeword.of, self.values, repeat(self.length)))
+        # every constructor has checked that the values fit in length >= 1 bits
+        return tuple(map(_codeword, self.values, repeat(self.length)))
 
     def strings(self) -> tuple[str, ...]:
         spec = f"0{self.length}b"
@@ -203,6 +202,19 @@ class BlockCode:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _distinct(values: tuple[int, ...]) -> tuple[int, ...]:
+    if len(set(values)) != len(values):
+        raise InputError("duplicate codeword")
+    return values
+
+
+def _block_code(values: tuple[int, ...], length: int) -> BlockCode:
+    """The `BlockCode` of distinct ints ``values`` known to fit in ``length`` >= 1 bits."""
+    code = object.__new__(BlockCode)
+    vars(code).update(values=values, length=length)  # the dataclass is frozen
+    return code
 
 
 def lex_sort_desc(code: BlockCode) -> BlockCode:
@@ -306,7 +318,8 @@ def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockC
     # row i is 1 at column i and free right of it; row 1 varies slowest
     top = (1 << n) - 1
     rows = product(*(range(1 << (n - 1 - i), 1 << (n - i)) for i in range(1, n)))
-    return (BlockCode.of((top, *r), n) for r in rows)
+    # row i fits n bits with bit length n - i, so the rows are distinct
+    return (_block_code((top, *r), n) for r in rows)
 
 
 def staircase_code(n: int) -> BlockCode:

@@ -71,7 +71,8 @@ def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
 
     Sorted word k has no 1 left of column k and a 1 at column k, so for
     j < k word j has a 1 where word k has none: bits 0..k-1 of row k
-    are 0 and bit k is 1.  Row k is packed from words k..n-1 alone.
+    are 0 and bit k is 1.  So the loop starts row k at that diagonal 1
+    and packs the bits of words k+1..n-1 after it.
     """
     n = code.length
     values = sorted(code.values, reverse=True)
@@ -80,9 +81,9 @@ def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
         raise InputError(f"not a triangular-family code: {reason}")
     rows = []
     for k, a in enumerate(values):
-        row = 0
-        for b in values[k:]:
-            row = row << 1 | (b & ~a == 0)
+        row, outside = 1, ~a  # bit k is the diagonal's 1
+        for b in values[k + 1 :]:
+            row = row << 1 | (not b & outside)
         rows.append(row)
     if rows[0] != (1 << n) - 1:
         raise InternalInvariantError("all-ones word is not the order minimum")

@@ -1,7 +1,7 @@
 import hashlib
 import importlib
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -60,6 +60,30 @@ def test_similarity_counts_are_the_poset_counts():
     unlabeled = {n: _unlabeled_count(n - 1) for n in EXPECTED_LABEL_CANONICAL}
     assert labeled == EXPECTED_SIMILARITY == {1: 1, 2: 1, 3: 3, 4: 19, 5: 219}
     assert unlabeled == EXPECTED_LABEL_CANONICAL == {1: 1, 2: 1, 3: 2, 4: 5, 5: 16}
+
+
+# Label-canonical classes of the family's algebras, n = 1..6: every order
+# with a minimum on n points has a naturally labeled self-describing
+# member, so these are the unlabeled posets on n-1 points (OEIS A000112).
+FAMILY_LABEL_CANONICAL = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 63}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_family_algebras_fall_into_the_poset_classes(n):
+    classes = {}
+    for code in bc.enumerate_triangular_codes(n):
+        alg = bc.construct_from_code(code).algebra
+        classes.setdefault(bc.label_canonical_code(alg), []).append(alg)
+    assert len(classes) == FAMILY_LABEL_CANONICAL[n]
+    if n in EXPECTED_LABEL_CANONICAL:  # the census's classes of all order-n algebras
+        assert len(classes) == EXPECTED_LABEL_CANONICAL[n]
+    if n >= 4:  # fewer isomorphism classes than codes: 5 < 8 at order 4
+        assert len(classes) < 2 ** ((n - 1) * (n - 2) // 2)
+    if n <= 5:
+        reps = [members[0] for members in classes.values()]
+        assert all(bc.are_isomorphic(a, b) is None for a, b in combinations(reps, 2))
+        for rep, members in zip(reps, classes.values()):
+            assert all(bc.are_isomorphic(rep, alg) is not None for alg in members)
 
 
 def _brute_force_tables(n):

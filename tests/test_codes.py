@@ -1,6 +1,7 @@
+import functools
 import random
 import re
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -586,3 +587,77 @@ def test_a_member_failing_the_bit_length_test_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(bc.codes, "_unit_upper_triangular", lambda values, n: False)
     with pytest.raises(bc.InternalInvariantError, match="no defect"):
         bc.is_triangular_code(bc.staircase_code(4))
+
+
+@functools.cache
+def seeded_members(n: int, count: int = 2000, seed: int = 25) -> tuple[bc.BlockCode, ...]:
+    """``count`` members of the order-n family at seeded positions, in enumeration order."""
+    picks = sorted(random.Random(seed).sample(range(2 ** ((n - 1) * (n - 2) // 2)), count))
+    members = bc.enumerate_triangular_codes(n, max_order=n)
+    return tuple(next(islice(members, p - q - 1, None)) for p, q in zip(picks, [-1, *picks]))
+
+
+def _enumerated_sample():
+    """Every family member at orders 1-6 and 2,000 seeded members at orders 7 and 8."""
+    for n in range(1, 7):
+        yield from bc.enumerate_triangular_codes(n)
+    yield from seeded_members(7)
+    yield from seeded_members(8)
+
+
+def test_family_members_equal_the_checked_code_of_their_values():
+    for code in _enumerated_sample():
+        n = code.length
+        assert code == bc.BlockCode.of(code.values, n)
+        assert type(code) is bc.BlockCode and type(code.values) is tuple
+        assert vars(code) == {"values": code.values, "length": n}
+        assert len(code) == n
+        assert all(a > b for a, b in zip(code.values, code.values[1:]))
+
+
+def test_sweeping_the_family_calls_no_checked_constructor(monkeypatch):
+    calls = []
+
+    def counting(of):
+        def count(cls, *args):
+            calls.append(cls)
+            return of(*args)
+
+        return classmethod(count)
+
+    monkeypatch.setattr(bc.BlockCode, "of", counting(bc.BlockCode.of))
+    monkeypatch.setattr(bc.Codeword, "of", counting(bc.Codeword.of))
+    assert sum(len(c.words) for c in bc.enumerate_triangular_codes(7)) == 7 * 2**15
+    assert calls == []
+    # the other builders still call the checked constructor
+    bc.staircase_code(7)
+    assert calls == [bc.BlockCode]
+
+
+def _codes_from_every_constructor():
+    rng = random.Random(7)
+    for length in range(1, 10):
+        values = rng.sample(range(1 << length), min(1 << length, rng.randint(1, 12)))
+        strings = [format(v, f"0{length}b") for v in values]
+        code = bc.BlockCode.of(values, length)
+        yield code
+        yield bc.BlockCode([bc.Codeword.from_string(s) for s in strings])
+        yield bc.BlockCode([tuple(map(int, s)) for s in strings])
+        yield bc.BlockCode.from_strings(strings)
+        yield bc.lex_sort_desc(code)
+        embedded = bc.embed_matrix(bc.lex_sort_desc(code))
+        yield embedded
+        yield bc.ensure_all_ones(embedded)
+        yield bc.lift_code(code).lifted_code
+    for code in (bc.staircase_code(4), bc.BlockCode.of((0b1111, 0b0110, 0b0011, 0b0001), 4)):
+        yield bc.verify_roundtrip(code).regenerated
+    yield next(bc.enumerate_triangular_codes(5))
+
+
+def test_words_are_the_checked_codewords_of_the_values():
+    for code in _codes_from_every_constructor():
+        n = code.length
+        assert code.words == tuple(bc.Codeword.of(v, n) for v in code.values)
+        for w, v in zip(code.words, code.values):
+            assert type(w) is bc.Codeword
+            assert vars(w) == {"value": v, "length": n}

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import islice, product
+from itertools import chain, islice, product
 
 import pytest
 
@@ -9,6 +9,7 @@ import reference_data as rd
 from bckcodes import construct
 from bckcodes.codes import bit_positions, pack_bits
 from test_algebra import brute_axiom_holds
+from test_codes import seeded_members
 
 
 def poset_of(leq) -> bc.Poset:
@@ -289,7 +290,7 @@ def descend_from_the_diagonal(rows) -> bool:
 
 
 def test_word_order_rows_are_the_incidence_matrix_and_descend_from_the_diagonal():
-    for code in _trusted_sample():
+    for code in chain(_trusted_sample(), seeded_members(8)):
         sorted_code, rows = construct._word_order(code)
         words = bc.lex_sort_desc(code).words
         assert sorted_code == bc.BlockCode(words)

@@ -795,6 +795,47 @@ def test_cli_output_buffered_for_a_closed_pipe_exits_2_with_one_error_line():
     assert proc.stderr == b"error: cannot write to stdout: the reader closed it\n"
 
 
+def _run_console_script(argv, **kwargs) -> subprocess.CompletedProcess:
+    src = str(Path(bc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "bckcodes", *argv], env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{alg}"], ["enumerate", "--codes", "--order", "7"]],
+    ids=["last-flush", "mid-output"],
+)
+def test_cli_full_disk_exits_2_without_a_traceback(tmp_path, argv):
+    # verify's few lines fail at the last flush, the order-7 listing while it is written
+    alg = tmp_path / "alg.txt"
+    alg.write_text("4\n0 0 0 0\n1 0 0 1\n2 1 0 2\n3 3 3 0\n")
+    argv = [arg.format(alg=alg) for arg in argv]
+    with open("/dev/full", "wb") as full:
+        proc = _run_console_script(argv, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write to stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "closed,err",
+    [((1,), b"error: cannot write to stdout: Bad file descriptor\n"), ((1, 2), b"")],
+    ids=["stdout", "stdout-and-stderr"],
+)
+def test_cli_closed_descriptors_exit_2_without_a_traceback(tmp_path, closed, err):
+    alg = tmp_path / "alg.txt"
+    alg.write_text("4\n0 0 0 0\n1 0 0 1\n2 1 0 2\n3 3 3 0\n")
+
+    def close():  # in the child, before the interpreter starts
+        for fd in closed:
+            os.close(fd)
+
+    proc = _run_console_script(["verify", str(alg)], stderr=subprocess.PIPE, preexec_fn=close)
+    assert proc.returncode == 2
+    assert proc.stderr == err
+
+
 def _json_dumps_report(kind, payload):
     """A report as the standard library's indenting encoder writes it: the writer's oracle."""
     body = {"report_version": 1, "kind": kind}
