@@ -6,6 +6,7 @@ through their word order, lifts arbitrary codes into that family, and
 exhaustively enumerates both sides at desk scale.
 """
 
+from . import io  # text formats and reports, as `bckcodes.io`
 from ._kernels import BACKEND_NAME
 from .algebra import (
     AxiomCheck,

@@ -19,10 +19,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import permutations
+from typing import Iterator, Sequence
 
 from . import _kernels
 from .codes import as_int, as_ints, bit_positions, pack_bits
 from .errors import InputError, InternalInvariantError, NotBckError
+
+Table = tuple[tuple[int, ...], ...]
+
+MAX_ORDER = 1024  # pointwise_function_algebra(10), the largest table the package builds
 
 
 @dataclass(frozen=True)
@@ -243,27 +248,35 @@ def induced_order(alg: CayleyAlgebra) -> Poset:
     return poset
 
 
+def _relabelings(n: int) -> Iterator[tuple[int, ...]]:
+    """The bijections of 0..n-1 that fix 0, as image maps, in
+    lexicographic order over the images of 1..n-1; lazily."""
+    return ((0,) + tail for tail in permutations(range(1, n)))
+
+
+def _relabel(table: Table, h: Sequence[int]) -> Table:
+    """Table of the copy relabeled by the bijection h (an image map)."""
+    hinv = [0] * len(h)
+    for x, hx in enumerate(h):
+        hinv[hx] = x
+    rows = [table[a] for a in hinv]
+    return tuple(tuple(h[row[b]] for b in hinv) for row in rows)
+
+
 def are_isomorphic(a: CayleyAlgebra, b: CayleyAlgebra) -> tuple[int, ...] | None:
     """Search for a table isomorphism, returned as the image map h.
 
     h fixes 0 (any isomorphism must, since 0 = x*x); candidates are
     tried in lexicographic order over the images of 1..n-1, so the
-    result is deterministic.  Returns None when no isomorphism exists.
-    Cost grows factorially with the order; intended for small tables.
+    result is deterministic.  h is an isomorphism exactly when
+    relabeling a by h gives b's table.  Returns None when no
+    isomorphism exists.  Cost grows factorially with the order;
+    intended for small tables.
     """
     n = a.order
     if n != b.order:
         return None
-    ta, tb = a.table, b.table
-    rng = range(n)
-    for tail in permutations(range(1, n)):
-        h = (0,) + tail
-        if all(h[ta[x][y]] == tb[h[x]][h[y]] for x in rng for y in rng):
-            return h
-    return None
-
-
-_POINTWISE_MAX_BITS = 10  # 1024 elements, the largest table the package builds
+    return next((h for h in _relabelings(n) if _relabel(a.table, h) == b.table), None)
 
 
 def pointwise_function_algebra(k: int) -> CayleyAlgebra:
@@ -274,8 +287,9 @@ def pointwise_function_algebra(k: int) -> CayleyAlgebra:
     (pointwise truncated difference).  The result is always a BCK table
     and always implicative.
     """
-    if not 1 <= k <= _POINTWISE_MAX_BITS:
-        raise InputError(f"k must be within 1..{_POINTWISE_MAX_BITS}")
+    max_bits = MAX_ORDER.bit_length() - 1
+    if not 1 <= k <= max_bits:
+        raise InputError(f"k must be within 1..{max_bits}")
     size = 1 << k
     table = tuple(tuple(f & ~g for g in range(size)) for f in range(size))
     names = tuple(format(f, f"0{k}b") for f in range(size))

@@ -14,11 +14,11 @@ runs are reproducible and two runs can be compared table for table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import _kernels
-from .algebra import CayleyAlgebra, check_axioms
+from .algebra import CayleyAlgebra, Table, _relabel, _relabelings, check_axioms
 from .codes import BlockCode
 from .encode import _code
 from .errors import InputError, InternalInvariantError, NotBckError
@@ -26,23 +26,13 @@ from .errors import InputError, InternalInvariantError, NotBckError
 _DEFAULT_MAX_ORDER = 5
 _FLAG_MAX_ORDER = 6
 
-Table = tuple[tuple[int, ...], ...]
-
-
-def _relabel(table: Table, h: Sequence[int]) -> Table:
-    """Table of the copy relabeled by the bijection h (an image map)."""
-    hinv = [0] * len(h)
-    for x, hx in enumerate(h):
-        hinv[hx] = x
-    rows = [table[a] for a in hinv]
-    return tuple(tuple(h[row[b]] for b in hinv) for row in rows)
-
-
 def _orbits(n: int, allow_large: bool) -> list[list[Table]]:
     """Every order-n BCK table as one sorted list per isomorphism class.
 
-    Classes are listed by their least table.  Equal rows of different
-    tables are one shared tuple, which keeps the order-6 sets small.
+    Each kernel table not yet seen is relabeled by every bijection of
+    `algebra._relabelings`, and its orbit is one class.  Classes are
+    listed by their least table.  Equal rows of different tables are
+    one shared tuple, which keeps the order-6 sets small.
     """
     if n < 1:
         raise InputError("order must be positive")
@@ -53,7 +43,7 @@ def _orbits(n: int, allow_large: bool) -> list[list[Table]]:
                 f"order {n} must be enabled explicitly; the run can take long"
             )
         raise InputError(f"order {n} is out of scope (max {_FLAG_MAX_ORDER})")
-    relabelings = [(0,) + tail for tail in permutations(range(1, n))]
+    relabelings = list(_relabelings(n))
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     seen: set[Table] = set()
     orbits = []
@@ -98,19 +88,17 @@ def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     """Canonical code minimised over all relabelings fixing element 0.
 
     Plain canonical codes are label-sensitive, so this is the variant
-    that is constant on isomorphism classes.  The axioms are checked
-    once; relabeling preserves them.
+    that is constant on isomorphism classes.  The relabelings come from
+    `algebra._relabelings`; of equal least codes the first one found is
+    returned.  The axioms are checked once; relabeling preserves them.
     """
     if not check_axioms(alg).is_bck:
         raise NotBckError("label_canonical_code requires a BCK-algebra")
     n = alg.order
-    best = None
-    best_code = None
-    for tail in permutations(range(1, n)):
-        code = _code(_relabel(alg.table, (0,) + tail), range(n))
-        if best is None or code.values < best:
-            best, best_code = code.values, code
-    return best_code
+    return min(
+        (_code(_relabel(alg.table, h), range(n)) for h in _relabelings(n)),
+        key=lambda c: c.values,
+    )
 
 
 @dataclass(frozen=True)

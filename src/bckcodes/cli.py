@@ -43,6 +43,12 @@ _AXIOM_TEXT = {
 }
 
 
+def _write_stderr(text: str) -> None:
+    """Write ``text`` to stderr; a closed or failing stderr never changes the status."""
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.write(text)
+
+
 def _read(path: str) -> str:
     try:
         if path == "-":
@@ -113,9 +119,7 @@ def cmd_encode(args) -> int:
     report = check_axioms(alg)
     if not report.is_bck:
         failed = [c.axiom for c in report.checks if not c.holds]
-        sys.stderr.write(
-            f"not a BCK-algebra: axiom(s) {', '.join(map(str, failed))} fail\n"
-        )
+        _write_stderr(f"not a BCK-algebra: axiom(s) {', '.join(map(str, failed))} fail\n")
         return 1
     if args.function:
         fn = io.parse_function(_read(args.function), alg)
@@ -175,7 +179,7 @@ def cmd_construct(args) -> int:
     if trip.exact:
         return 0
     if args.lax:
-        sys.stderr.write("warning: round trip is inexact\n")
+        _write_stderr("warning: round trip is inexact\n")
         return 0
     return 1
 
@@ -229,7 +233,7 @@ def cmd_enumerate(args) -> int:
         if n == 6 and not allow_large:
             raise InputError("order 6 needs --max-order 6 and can take a while")
         if allow_large:
-            sys.stderr.write(f"warning: order {n} enumeration may take a while\n")
+            _write_stderr(f"warning: order {n} enumeration may take a while\n")
         report = census(n, allow_large=allow_large)
         if args.json:
             payload = {
@@ -333,10 +337,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write_stderr(f"error: {exc}\n")
         return 2
     except InternalInvariantError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
+        _write_stderr(f"internal error: {exc}\n")
         return 3
 
 
@@ -352,7 +356,6 @@ def console_main() -> None:
         # interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         reason = "the reader closed it" if isinstance(exc, BrokenPipeError) else exc.strerror
-        with contextlib.suppress(AttributeError, OSError):  # stderr is closed too: no line
-            sys.stderr.write(f"error: cannot write to stdout: {reason}\n")
+        _write_stderr(f"error: cannot write to stdout: {reason}\n")
         status = 2
     sys.exit(status)

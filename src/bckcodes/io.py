@@ -34,13 +34,12 @@ import json
 from collections.abc import Iterator
 from itertools import chain, islice
 
-from .algebra import CayleyAlgebra
+from .algebra import MAX_ORDER, CayleyAlgebra
 from .codes import BlockCode
 from .encode import BckFunction
 from .errors import ParseError
 
 REPORT_VERSION = 1
-MAX_ORDER = 1024  # pointwise_function_algebra(10), the largest table the package builds
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import CayleyAlgebra, Poset
+from .algebra import MAX_ORDER, CayleyAlgebra, Poset
 from .codes import (
     BlockCode,
     embed_matrix,
@@ -24,7 +24,6 @@ from .codes import (
 from .construct import algebra_from_poset, construct_from_code
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
-from .io import MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class LiftResult:
 
 def lift_code(v: BlockCode) -> LiftResult:
     """Lift ``v`` into the triangular family; `InputError`, before any
-    matrix is built, when the ambient order would exceed `io.MAX_ORDER`."""
+    matrix is built, when the ambient order would exceed `algebra.MAX_ORDER`."""
     # the rows of [[I, A], [0, I]], plus an all-ones row unless A is one all-ones word
     order = len(v) + v.length + (len(v) > 1 or v.values[0] != (1 << v.length) - 1)
     if order > MAX_ORDER:

@@ -215,6 +215,7 @@ def test_cayley_table_validation():
     ([[0, "0"], ["1", 0]], "'0' is not an integer"),
     ([[0, None], [1, 0]], "None is not an integer"),
     ([[0, 0], [1.0, 0]], "1.0 is not an integer"),
+    (5, "5 is not a table of integer rows"),
 ])
 def test_cayley_table_rejects_non_integers(table, message):
     with pytest.raises(bc.InputError) as exc:

@@ -10,6 +10,7 @@ import bckcodes as bc
 from bckcodes._kernels import pure
 from bckcodes.cli import main
 from test_algebra import brute_axiom_holds
+from test_construct import _EXACT_ROUNDTRIPS
 
 # the package's `census` attribute is the function, not the module
 census_module = importlib.import_module("bckcodes.census")
@@ -334,6 +335,67 @@ def test_label_canonical_code_is_an_iso_invariant():
             )
         )
         assert bc.label_canonical_code(relabeled) == base
+
+
+def _natural_orders(n):
+    """Naturally labeled orders on 0..n-1 with minimum 0, as down-sets; no src/.
+
+    ``down[j]`` has bit x set iff x <= j.  It is j plus an order ideal
+    of 0..j-1 that contains 0, so each order extends one on 0..n-2.
+    """
+    if n == 1:
+        return [(1,)]
+    orders = []
+    for down in _natural_orders(n - 1):
+        for ideal in range(1, 1 << (n - 1), 2):  # every subset of 0..n-2 holding 0
+            if all(down[x] & ~ideal == 0 for x in range(n - 1) if ideal >> x & 1):
+                orders.append(down + (ideal | 1 << (n - 1),))
+    return orders
+
+
+def _linear_extensions(down, placed=0):
+    """The relabelings h fixing 0 with x < y in the order implying h(x) < h(y).
+
+    Yields the elements in the order of their new labels 0, 1, ...
+    """
+    if placed == (1 << len(down)) - 1:
+        yield ()
+        return
+    for x, d in enumerate(down):
+        if not placed >> x & 1 and d & ~placed == 1 << x:
+            for rest in _linear_extensions(down, placed | 1 << x):
+                yield (x,) + rest
+
+
+def _order_rows(down):
+    """Rows of the order in the `Poset` layout: bit y of row x (MSB first) iff x <= y."""
+    n = len(down)
+    return tuple(sum(1 << (n - 1 - y) for y in range(n) if down[y] >> x & 1) for x in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_natural_orders_are_the_exact_roundtrip_counts(n):
+    assert len(_natural_orders(n)) == _EXACT_ROUNDTRIPS[n - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_label_canonical_code_is_least_over_linear_extensions(n):
+    # The relabelings that keep the order natural suffice: the least code
+    # over them is the least over every relabeling fixing 0.
+    for down in _natural_orders(n):
+        rows = _order_rows(down)
+        least = None
+        for ext in _linear_extensions(down):
+            h = [0] * n
+            for label, x in enumerate(ext):
+                h[x] = label
+            relabeled = [0] * n
+            for x, row in enumerate(rows):
+                relabeled[h[x]] = sum(1 << (n - 1 - h[y]) for y in range(n) if row >> (n - 1 - y) & 1)
+            code = tuple(sorted(relabeled, reverse=True))
+            least = code if least is None else min(least, code)
+        alg = bc.algebra_from_poset(bc.Poset(rows))
+        assert bc.label_canonical_code(alg).values == least
 
 
 def test_plain_canonical_code_is_label_sensitive():

@@ -57,6 +57,9 @@ def test_function_validation(alg4_from_code):
         bc.BckFunction(("a", "b"), alg4_from_code, (0,))
     with pytest.raises(bc.InputError):
         bc.BckFunction(("a",), alg4_from_code, (4,))
+    with pytest.raises(bc.InputError) as exc:
+        bc.BckFunction(5, alg4_from_code, (0,))
+    assert str(exc.value) == "function domain 5 is not a sequence"
 
 
 @pytest.mark.parametrize("value, message", [

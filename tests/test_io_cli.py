@@ -836,6 +836,50 @@ def test_cli_closed_descriptors_exit_2_without_a_traceback(tmp_path, closed, err
     assert proc.stderr == err
 
 
+# Runs console_main with any uncaught traceback sent to stdout, since
+# stderr is unusable; "--fail" first makes verify breach an internal invariant.
+_CLOSED_STDERR_CHILD = """
+import sys, traceback
+from bckcodes import cli, errors
+sys.excepthook = lambda *exc: sys.stdout.write("".join(traceback.format_exception(*exc)))
+if sys.argv[1] == "--fail":
+    del sys.argv[1]
+    def fail(args):
+        raise errors.InternalInvariantError("forced")
+    cli.cmd_verify = fail
+cli.console_main()
+"""
+
+
+@pytest.mark.parametrize("stderr", ["closed", "full"])  # sys.stderr is None, or writes fail
+@pytest.mark.parametrize(
+    "argv,status",
+    [(["encode", "{zero}"], 1), (["verify", "{missing}"], 2), (["--fail", "verify", "{zero}"], 3)],
+    ids=["not-bck", "input-error", "internal-error"],
+)
+def test_cli_unwritable_stderr_keeps_the_exit_status(tmp_path, argv, status, stderr):
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("2\n0 0\n0 0\n")  # fails axiom 4
+    argv = [arg.format(zero=zero, missing=tmp_path / "missing.txt") for arg in argv]
+    src = str(Path(bc.__file__).resolve().parent.parent)
+    with contextlib.ExitStack() as stack:
+        if stderr == "closed":
+            redirect = {"preexec_fn": lambda: os.close(2)}
+        else:
+            redirect = {"stderr": stack.enter_context(open("/dev/full", "wb"))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLOSED_STDERR_CHILD, *argv],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+            **redirect,
+        )
+    assert proc.returncode == status
+    assert b"Traceback" not in proc.stdout
+
+
 def _json_dumps_report(kind, payload):
     """A report as the standard library's indenting encoder writes it: the writer's oracle."""
     body = {"report_version": 1, "kind": kind}
@@ -1216,3 +1260,14 @@ def test_each_invariant_breach_exits_3(breach, message, monkeypatch, tmp_path, c
     captured = capsys.readouterr()
     assert captured.err == f"internal error: {message}\n"
     assert captured.out == ""
+
+
+def test_import_bckcodes_loads_the_text_formats():
+    # `bc.io.render_algebra(...)` right after `import bckcodes as bc`, as in the README
+    src = str(Path(bc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bckcodes as bc; bc.io.render_algebra"],
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0
