@@ -50,7 +50,6 @@ from .construct import (
     RowMismatch,
     algebra_from_poset,
     construct_from_code,
-    iter_posets_with_minimum,
     verify_roundtrip,
 )
 from .encode import (
@@ -122,7 +121,6 @@ __all__ = [
     "is_commutative",
     "is_implicative",
     "is_triangular_code",
-    "iter_posets_with_minimum",
     "label_canonical_code",
     "lex_sort_desc",
     "lift_code",

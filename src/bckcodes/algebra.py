@@ -254,6 +254,32 @@ def _relabelings(n: int) -> Iterator[tuple[int, ...]]:
     return ((0,) + tail for tail in permutations(range(1, n)))
 
 
+def _linear_extensions(poset: Poset) -> Iterator[tuple[int, ...]]:
+    """The linear extensions of ``poset`` as image maps h, lazily: x < y
+    implies h(x) < h(y).  Each step gives the next label to an element
+    whose strict down-set is already labeled, so a minimum gets label 0,
+    and h fixes 0 on an induced order."""
+    n = poset.order
+    below = [0] * n  # bit x of below[y] iff x < y
+    for x, row in enumerate(poset.rows):
+        for y in bit_positions(row & ~(1 << (n - 1 - x)), n):
+            below[y] |= 1 << x
+    # depth first on a stack, not by recursion, so that a chain of
+    # MAX_ORDER elements walks too: an entry holds the labeled set and the
+    # first element to try for the next label, which is len(stack) once
+    # the entry is popped
+    h, stack = [0] * n, [(0, 0)]
+    while stack:
+        labeled, x = stack.pop()
+        if labeled == (1 << n) - 1:
+            yield tuple(h)
+        while x < n and (labeled >> x & 1 or below[x] & ~labeled):
+            x += 1
+        if x < n:
+            h[x] = len(stack)
+            stack += [(labeled, x + 1), (labeled | 1 << x, 0)]
+
+
 def _relabel(table: Table, h: Sequence[int]) -> Table:
     """Table of the copy relabeled by the bijection h (an image map)."""
     hinv = [0] * len(h)
@@ -269,14 +295,18 @@ def are_isomorphic(a: CayleyAlgebra, b: CayleyAlgebra) -> tuple[int, ...] | None
     h fixes 0 (any isomorphism must, since 0 = x*x); candidates are
     tried in lexicographic order over the images of 1..n-1, so the
     result is deterministic.  h is an isomorphism exactly when
-    relabeling a by h gives b's table.  Returns None when no
-    isomorphism exists.  Cost grows factorially with the order;
-    intended for small tables.
+    h(x*y) = h(x)*h(y) in every cell; a candidate is dropped at its
+    first failing cell.  Returns None when no isomorphism exists.  Cost
+    grows factorially with the order; intended for small tables.
     """
     n = a.order
     if n != b.order:
         return None
-    return next((h for h in _relabelings(n) if _relabel(a.table, h) == b.table), None)
+    ta, tb, rng = a.table, b.table, range(n)
+    for h in _relabelings(n):
+        if all(h[ta[x][y]] == tb[h[x]][h[y]] for x in rng for y in rng):
+            return h
+    return None
 
 
 def pointwise_function_algebra(k: int) -> CayleyAlgebra:

@@ -18,7 +18,9 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .algebra import CayleyAlgebra, Table, _relabel, _relabelings, check_axioms
+from .algebra import (
+    CayleyAlgebra, Table, _linear_extensions, _relabel, _relabelings, check_axioms, induced_order
+)
 from .codes import BlockCode
 from .encode import _code
 from .errors import InputError, InternalInvariantError, NotBckError
@@ -85,20 +87,24 @@ def enumerate_bck_algebras(
 
 
 def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
-    """Canonical code minimised over all relabelings fixing element 0.
+    """Canonical code minimised over the linear extensions of the order.
 
     Plain canonical codes are label-sensitive, so this is the variant
-    that is constant on isomorphism classes.  The relabelings come from
-    `algebra._relabelings`; of equal least codes the first one found is
-    returned.  The axioms are checked once; relabeling preserves them.
+    that is constant on isomorphism classes.  The relabelings tried are
+    the linear extensions of `induced_order(alg)`, from
+    `algebra._linear_extensions`: e(P) maps instead of all (n-1)!
+    bijections fixing 0.  The least code over them equals the least
+    over all (n-1)! for every order up to n = 7 and on sampled orders
+    at n = 8; that is measured, not proved.  Either way the value is
+    constant on isomorphism classes, and it determines the order up to
+    isomorphism, since it is the rows of a naturally labeled copy.  The
+    axioms are checked once; relabeling preserves them.
     """
     if not check_axioms(alg).is_bck:
         raise NotBckError("label_canonical_code requires a BCK-algebra")
     n = alg.order
-    return min(
-        (_code(_relabel(alg.table, h), range(n)) for h in _relabelings(n)),
-        key=lambda c: c.values,
-    )
+    extensions = _linear_extensions(induced_order(alg))
+    return min((_code(_relabel(alg.table, h), range(n)) for h in extensions), key=lambda c: c.values)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
 
 from .algebra import CayleyAlgebra, Poset, _checked_names
-from .codes import BlockCode, Codeword, _triangular_defect, bit_positions, pack_bits
+from .codes import BlockCode, Codeword, _triangular_defect, bit_positions
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
@@ -153,28 +151,3 @@ def verify_roundtrip(code: BlockCode) -> RoundTripReport:
     """The round-trip report of a triangular-family code."""
     return RoundTripReport(*_word_order(code))
 
-
-def iter_posets_with_minimum(n: int) -> Iterator[Poset]:
-    """Every labeled poset on 0..n-1 that has a minimum element.
-
-    Each unordered pair independently takes one of three states
-    (incomparable, <, >); assignments failing transitivity or lacking a
-    minimum are dropped.  Order of results is fixed by the sweep.
-    """
-    if n < 1:
-        raise InputError("n must be positive")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    unit = [pack_bits(j == i for j in range(n)) for i in range(n)]
-    for assignment in product((0, 1, 2), repeat=len(pairs)):
-        rows = list(unit)
-        for (i, j), state in zip(pairs, assignment):
-            if state == 1:
-                rows[i] |= unit[j]
-            elif state == 2:
-                rows[j] |= unit[i]
-        try:
-            poset = Poset(rows)
-        except InputError:  # reflexive and antisymmetric by construction: not transitive
-            continue
-        if poset.minimum is not None:
-            yield poset

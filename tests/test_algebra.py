@@ -157,16 +157,19 @@ def test_code_similar_pair_is_not_isomorphic(alg4_commutative, alg4_from_code):
 
 
 def test_isomorphism_respects_products():
-    algs = list(bc.enumerate_bck_algebras(3))
-    for a in algs:
-        for b in algs:
-            h = bc.are_isomorphic(a, b)
-            agree = bc.are_isomorphic(b, a)
-            assert (h is None) == (agree is None)
-            if h is not None:
-                for x in range(3):
-                    for y in range(3):
-                        assert h[a.table[x][y]] == b.table[h[x]][h[y]]
+    xor = bc.CayleyAlgebra(((0, 1), (1, 0)))  # BCI, not BCK: any table is accepted
+    for algs in (list(bc.enumerate_bck_algebras(3)), [xor]):
+        n = algs[0].order
+        for a in algs:
+            assert bc.are_isomorphic(a, a) == tuple(range(n))
+            for b in algs:
+                h = bc.are_isomorphic(a, b)
+                agree = bc.are_isomorphic(b, a)
+                assert (h is None) == (agree is None)
+                if h is not None:
+                    for x in range(n):
+                        for y in range(n):
+                            assert h[a.table[x][y]] == b.table[h[x]][h[y]]
 
 
 def test_pointwise_algebra_small_cases():
@@ -276,6 +279,34 @@ def _small_relations():
         for (x, y), v in zip(off, cells):
             m[x][y] = v
         yield m
+
+
+def labeled_posets(m):
+    """Every partial order on 0..m-1, as a frozenset of pairs x < y; no src/."""
+    pairs = [(x, y) for x in range(m) for y in range(m) if x != y]
+    found = []
+    for chosen in product((False, True), repeat=len(pairs)):
+        less = {p for p, keep in zip(pairs, chosen) if keep}
+        if any((y, x) in less for x, y in less):
+            continue
+        if any((x, z) not in less for x, y in less for w, z in less if w == y and x != z):
+            continue
+        found.append(frozenset(less))
+    return found
+
+
+def posets_with_minimum(n):
+    """Every labeled poset on 0..n-1 with a minimum element, n * (1, 1, 3,
+    19, 219)[n-1] of them: each order on n-1 points with a new minimum
+    inserted at every index."""
+    for less in labeled_posets(n - 1):
+        for low in range(n):
+            index = [x + (x >= low) for x in range(n - 1)]  # old point -> new point
+            rows = [1 << (n - 1 - x) for x in range(n)]
+            rows[low] = (1 << n) - 1
+            for x, y in less:
+                rows[index[x]] |= 1 << (n - 1 - index[y])
+            yield bc.Poset(rows)
 
 
 def test_poset_validation_matches_a_brute_force_oracle():

@@ -5,6 +5,7 @@ import pytest
 
 import bckcodes as bc
 import reference_data as rd
+from test_algebra import posets_with_minimum
 
 
 def test_cut_subsets_of_reference_table(alg4_from_code):
@@ -159,7 +160,7 @@ def test_canonical_code_is_the_induced_order_of_every_small_table():
 
 
 def test_canonical_code_is_the_order_of_every_small_poset_algebra():
-    posets = [p for n in range(1, 6) for p in bc.iter_posets_with_minimum(n)]
+    posets = [p for n in range(1, 6) for p in posets_with_minimum(n)]
     assert len(posets) == 1 + 2 * 1 + 3 * 3 + 4 * 19 + 5 * 219
     for p in posets:
         alg = bc.algebra_from_poset(p)
