@@ -5,8 +5,8 @@ labeled tables, at least one per isomorphism class, and each one not
 seen before is expanded into its orbit under the relabelings that fix
 element 0.  An orbit is exactly one isomorphism class, so the census
 reads its classes straight off the orbits, with no pairwise
-isomorphism tests.  Orders up to 5 take well under a second; order 6 is
-allowed behind a flag and takes some seconds.  The labeled stream is
+isomorphism tests.  Orders up to 5 take well under a second; order 6,
+the ceiling, takes some seconds.  The labeled stream is
 the union of the orbits in ascending order, comparing row by row, so
 runs are reproducible and two runs can be compared table for table.
 """
@@ -21,14 +21,15 @@ from . import _kernels
 from .algebra import (
     CayleyAlgebra, Table, _linear_extensions, _relabel, _relabelings, check_axioms, induced_order
 )
-from .codes import BlockCode
+from .codes import BlockCode, bit_positions
 from .encode import _code
 from .errors import InputError, InternalInvariantError, NotBckError
 
-_DEFAULT_MAX_ORDER = 5
-_FLAG_MAX_ORDER = 6
+# the orbits hold every table at once, 5,681,589 of them at order 7
+_MAX_ORDER = 6
 
-def _orbits(n: int, allow_large: bool) -> list[list[Table]]:
+
+def _orbits(n: int) -> list[list[Table]]:
     """Every order-n BCK table as one sorted list per isomorphism class.
 
     Each kernel table not yet seen is relabeled by every bijection of
@@ -38,13 +39,8 @@ def _orbits(n: int, allow_large: bool) -> list[list[Table]]:
     """
     if n < 1:
         raise InputError("order must be positive")
-    limit = _FLAG_MAX_ORDER if allow_large else _DEFAULT_MAX_ORDER
-    if n > limit:
-        if n <= _FLAG_MAX_ORDER:
-            raise InputError(
-                f"order {n} must be enabled explicitly; the run can take long"
-            )
-        raise InputError(f"order {n} is out of scope (max {_FLAG_MAX_ORDER})")
+    if n > _MAX_ORDER:
+        raise InputError(f"order {n} is out of scope (max {_MAX_ORDER})")
     relabelings = list(_relabelings(n))
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     seen: set[Table] = set()
@@ -70,9 +66,7 @@ def _checked(tables: Iterable[Table]) -> Iterator[CayleyAlgebra]:
         yield alg
 
 
-def enumerate_bck_algebras(
-    n: int, *, allow_large: bool = False
-) -> Iterator[CayleyAlgebra]:
+def enumerate_bck_algebras(n: int) -> Iterator[CayleyAlgebra]:
     """Stream every BCK Cayley table of order n, element 0 the constant.
 
     Tables arrive in ascending order, compared row by row: the order in
@@ -82,29 +76,36 @@ def enumerate_bck_algebras(
     `check_axioms`; the kernel already guarantees BCK, so a failure is
     an internal invariant breach.
     """
-    orbits = _orbits(n, allow_large)
-    yield from _checked(sorted(chain.from_iterable(orbits)))
+    yield from _checked(sorted(chain.from_iterable(_orbits(n))))
 
 
 def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     """Canonical code minimised over the linear extensions of the order.
 
     Plain canonical codes are label-sensitive, so this is the variant
-    that is constant on isomorphism classes.  The relabelings tried are
-    the linear extensions of `induced_order(alg)`, from
-    `algebra._linear_extensions`: e(P) maps instead of all (n-1)!
-    bijections fixing 0.  The least code over them equals the least
-    over all (n-1)! for every order up to n = 7 and on sampled orders
-    at n = 8; that is measured, not proved.  Either way the value is
-    constant on isomorphism classes, and it determines the order up to
-    isomorphism, since it is the rows of a naturally labeled copy.  The
-    axioms are checked once; relabeling preserves them.
+    that is constant on isomorphism classes.  An element's codeword is
+    its up-set in the induced order, so a relabeling h maps the code to
+    the words {h(y) : y in up(x)}: only the order's n rows are
+    relabeled, never the table.  The relabelings tried are the linear
+    extensions of `induced_order(alg)`, from `algebra._linear_extensions`:
+    e(P) maps instead of all (n-1)! bijections fixing 0.  The least code
+    over them equals the least over all (n-1)! for every order up to
+    n = 7 and on sampled orders at n = 8; that is measured, not proved.
+    Either way the value is constant on isomorphism classes, and it
+    determines the order up to isomorphism, since it is the rows of a
+    naturally labeled copy.  The axioms are checked once; relabeling
+    preserves them.
     """
     if not check_axioms(alg).is_bck:
         raise NotBckError("label_canonical_code requires a BCK-algebra")
     n = alg.order
-    extensions = _linear_extensions(induced_order(alg))
-    return min((_code(_relabel(alg.table, h), range(n)) for h in extensions), key=lambda c: c.values)
+    order = induced_order(alg)
+    ups = [bit_positions(row, n) for row in order.rows]
+    least = min(
+        sorted((sum(1 << n - 1 - h[y] for y in up) for up in ups), reverse=True)
+        for h in _linear_extensions(order)
+    )
+    return BlockCode.of(least, n)
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class CensusReport:
     class_inventory: tuple[ClassEntry, ...]
 
 
-def census(n: int, *, allow_large: bool = False) -> CensusReport:
+def census(n: int) -> CensusReport:
     """Count the order-n BCK tables, their isomorphism classes and codes.
 
     Each class is one orbit: its representative is the orbit's least
@@ -154,7 +155,7 @@ def census(n: int, *, allow_large: bool = False) -> CensusReport:
     code_keys = set()
     label_keys = set()
     total = 0
-    for orbit in _orbits(n, allow_large):
+    for orbit in _orbits(n):
         members = list(_checked(orbit))
         codes = [_code(alg.table, range(n)) for alg in members]
         keys = [c.values for c in codes]

@@ -30,10 +30,6 @@ from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
 from .lift import family_algebra, lift_code
 
-# Ceiling on --max-order for --codes, which prints all 2**((n-1)(n-2)/2)
-# members: 2,097,152 at order 8, 2**28 at order 9.
-_CODES_MAX_ORDER = 8
-
 _AXIOM_TEXT = {
     1: "((x*y)*(x*z))*(z*y) = 0",
     2: "(x*(x*y))*y = 0",
@@ -216,8 +212,11 @@ def cmd_lift(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.order
     if args.codes:
-        max_order = min(max(7, args.max_order or 0), _CODES_MAX_ORDER)
-        codes = enumerate_triangular_codes(n, max_order=max_order)
+        # order 8 prints 2,097,152 codes, so it needs --max-order 8; the
+        # library refuses every order above 8 itself
+        if n > 7 and (args.max_order or 0) < 8:
+            raise InputError(f"n={n} exceeds the bound 7")
+        codes = enumerate_triangular_codes(n)
         count = 2 ** ((n - 1) * (n - 2) // 2)
         if args.json:
             payload = {"order": n, "count": count, "codes": (c.strings() for c in codes)}
@@ -229,12 +228,11 @@ def cmd_enumerate(args) -> int:
         return 0
 
     if args.algebras:
-        allow_large = n == 6 and (args.max_order or 0) >= n
-        if n == 6 and not allow_large:
-            raise InputError("order 6 needs --max-order 6 and can take a while")
-        if allow_large:
+        if n == 6:
+            if (args.max_order or 0) < n:
+                raise InputError("order 6 needs --max-order 6 and can take a while")
             _write_stderr(f"warning: order {n} enumeration may take a while\n")
-        report = census(n, allow_large=allow_large)
+        report = census(n)
         if args.json:
             payload = {
                 "order": report.order,

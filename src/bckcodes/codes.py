@@ -300,21 +300,25 @@ def ensure_all_ones(b: BlockCode) -> BlockCode:
     return BlockCode.of(((1 << n + 1) - 1, *b.values), n + 1)
 
 
-def enumerate_triangular_codes(n: int, *, max_order: int = 7) -> Iterator[BlockCode]:
+# Ceiling on the family's order: 2,097,152 members at order 8, 2**28 at 9.
+_FAMILY_MAX_ORDER = 8
+
+
+def enumerate_triangular_codes(n: int) -> Iterator[BlockCode]:
     """Iterate lazily over every member of the order-n triangular family.
 
     Row 0 is forced to all ones and row n-1 to 0...01; rows in between
     have free bits right of the diagonal, swept most-significant-first
     in row-major order, so the family arrives in a stable sequence of
-    size 2**((n-1)*(n-2)/2).  The bounds are checked on the call, before
-    the first member, and the rows' ranges, 2**(n-1) - 1 values in all,
-    are held from then on.
+    size 2**((n-1)*(n-2)/2).  n runs from 1 to 8; the bounds are checked
+    on the call, before the first member, and the rows' ranges,
+    2**(n-1) - 1 values in all, are held from then on.
     """
     n = as_int(n)
     if n < 1:
         raise InputError("n must be positive")
-    if n > max_order:
-        raise InputError(f"n={n} exceeds the bound {max_order}")
+    if n > _FAMILY_MAX_ORDER:
+        raise InputError(f"n={n} exceeds the bound {_FAMILY_MAX_ORDER}")
     # row i is 1 at column i and free right of it; row 1 varies slowest
     top = (1 << n) - 1
     rows = product(*(range(1 << (n - 1 - i), 1 << (n - i)) for i in range(1, n)))

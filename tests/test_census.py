@@ -174,7 +174,7 @@ def test_enumeration_matches_labeled_search(n):
 
 def test_orbit_tables_are_rows_that_share_equal_rows():
     shared = {}
-    for orbit in census_module._orbits(5, False):
+    for orbit in census_module._orbits(5):
         for table in orbit:
             assert type(table) is tuple and len(table) == 5
             for row in table:
@@ -232,9 +232,11 @@ def _automorphism_count(alg):
 def test_class_sizes_match_orbit_counting(n):
     # The relabelings fixing 0 act on the labeled tables; each class is
     # one orbit, so its size is (n-1)! / |Aut| of its representative.
+    # The orbit minimum the census records is the extension walk's code.
     labelings = factorial(n - 1)
     for entry in _census(n).class_inventory:
         assert entry.size * _automorphism_count(entry.representative) == labelings
+        assert entry.label_canonical == bc.label_canonical_code(entry.representative)
 
 
 # md5 of `bckcodes enumerate --algebras --order 5 --json`, frozen from
@@ -470,11 +472,17 @@ def test_quotient_classes_rejects_non_bck():
 
 
 def test_enumeration_bounds():
-    with pytest.raises(bc.InputError):
-        next(bc.enumerate_bck_algebras(0))
-    with pytest.raises(bc.InputError):
-        next(bc.enumerate_bck_algebras(6))
-    with pytest.raises(bc.InputError):
-        next(bc.enumerate_bck_algebras(7, allow_large=True))
-    first = next(bc.enumerate_bck_algebras(6, allow_large=True))
+    # order 6 is the ceiling and needs no flag; the CLI's --max-order
+    # is the only opt-in for it
+    for n in (0, -2):
+        with pytest.raises(bc.InputError, match="^order must be positive$"):
+            next(bc.enumerate_bck_algebras(n))
+        with pytest.raises(bc.InputError, match="^order must be positive$"):
+            bc.census(n)
+    for n in (7, 12):
+        with pytest.raises(bc.InputError, match=rf"^order {n} is out of scope \(max 6\)$"):
+            next(bc.enumerate_bck_algebras(n))
+        with pytest.raises(bc.InputError, match=rf"^order {n} is out of scope \(max 6\)$"):
+            bc.census(n)
+    first = next(bc.enumerate_bck_algebras(6))
     assert bc.check_axioms(first).is_bck

@@ -148,12 +148,15 @@ def test_family_members_come_lex_descending(n):
 
 
 def test_enumeration_bounds():
-    with pytest.raises(bc.InputError):
-        list(bc.enumerate_triangular_codes(0))
-    with pytest.raises(bc.InputError):
-        list(bc.enumerate_triangular_codes(8))
-    # the bound is only a guard and can be raised
-    first = next(bc.enumerate_triangular_codes(8, max_order=8))
+    # the bounds are checked on the call, before the first member
+    for n in (0, -2):
+        with pytest.raises(bc.InputError, match="^n must be positive$"):
+            bc.enumerate_triangular_codes(n)
+    for n in (9, 12):
+        with pytest.raises(bc.InputError, match=rf"^n={n} exceeds the bound 8$"):
+            bc.enumerate_triangular_codes(n)
+    # order 8 is the ceiling and needs no flag
+    first = next(bc.enumerate_triangular_codes(8))
     assert bc.is_triangular_code(first)
 
 
@@ -593,7 +596,7 @@ def test_a_member_failing_the_bit_length_test_is_an_internal_error(monkeypatch):
 def seeded_members(n: int, count: int = 2000, seed: int = 25) -> tuple[bc.BlockCode, ...]:
     """``count`` members of the order-n family at seeded positions, in enumeration order."""
     picks = sorted(random.Random(seed).sample(range(2 ** ((n - 1) * (n - 2) // 2)), count))
-    members = bc.enumerate_triangular_codes(n, max_order=n)
+    members = bc.enumerate_triangular_codes(n)
     return tuple(next(islice(members, p - q - 1, None)) for p, q in zip(picks, [-1, *picks]))
 
 

@@ -710,14 +710,14 @@ def test_cli_enumerate_order_6_warns_and_allows_the_large_census(monkeypatch, ca
     # a stand-in census: the order-6 one takes about 16 s
     seen = []
 
-    def small_census(n, *, allow_large=False):
-        seen.append(allow_large)
+    def small_census(n):
+        seen.append(n)
         return bc.census(5)
 
     monkeypatch.setattr(cli, "census", small_census)
     assert main(["enumerate", "--algebras", "--order", "6", "--max-order", "6"]) == 0
     assert capsys.readouterr().err == "warning: order 6 enumeration may take a while\n"
-    assert seen == [True]
+    assert seen == [6]
 
 
 def test_cli_enumerate_order_7_exits_2_without_a_warning(capsys):
@@ -730,6 +730,24 @@ def test_cli_enumerate_order_7_exits_2_without_a_warning(capsys):
 def test_cli_enumerate_codes_out_of_range(capsys):
     assert main(["enumerate", "--order", "9", "--codes"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("order, max_order, message", [
+    (8, [], "n=8 exceeds the bound 7"),
+    (9, [], "n=9 exceeds the bound 7"),
+    (8, ["--max-order", "4"], "n=8 exceeds the bound 7"),
+    (9, ["--max-order", "8"], "n=9 exceeds the bound 8"),
+    (9, ["--max-order", "9"], "n=9 exceeds the bound 8"),
+    (9, ["--max-order", "12"], "n=9 exceeds the bound 8"),
+    (12, ["--max-order", "8"], "n=12 exceeds the bound 8"),
+    (0, [], "n must be positive"),
+    (-2, ["--max-order", "8"], "n must be positive"),
+])
+def test_cli_enumerate_codes_names_its_bound(order, max_order, message, capsys):
+    # The CLI stops at order 7 unless --max-order reaches 8; above 8 the
+    # library's own ceiling speaks, whatever the flag says.
+    assert main(["enumerate", "--codes", "--order", str(order), *max_order]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _limit_memory():
