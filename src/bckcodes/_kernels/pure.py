@@ -58,8 +58,8 @@ otherwise every pair is.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import Iterator, Sequence
 
 np = None  # numpy, bound by the first `_array` call
 

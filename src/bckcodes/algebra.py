@@ -17,11 +17,11 @@ types in this module are immutable and all functions are pure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from itertools import permutations
-from typing import Iterator, Sequence
 
 from . import _kernels
+from ._value import Value
 from .codes import as_int, as_ints, bit_positions, pack_bits
 from .errors import InputError, InternalInvariantError, NotBckError
 
@@ -30,8 +30,7 @@ Table = tuple[tuple[int, ...], ...]
 MAX_ORDER = 1024  # pointwise_function_algebra(10), the largest table the package builds
 
 
-@dataclass(frozen=True)
-class CayleyAlgebra:
+class CayleyAlgebra(Value, uncompared=("names",)):
     """A finite groupoid with distinguished element 0, given by its table.
 
     ``table[x][y]`` is the product x*y.  Optional ``names`` are display
@@ -42,13 +41,13 @@ class CayleyAlgebra:
     """
 
     table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = field(default=None, compare=False)
+    names: tuple[str, ...] | None
 
-    def __post_init__(self):
+    def __init__(self, table, names=None):
         try:
-            rows = tuple(map(as_ints, self.table))
+            rows = tuple(map(as_ints, table))
         except TypeError:
-            raise InputError(f"{self.table!r} is not a table of integer rows") from None
+            raise InputError(f"{table!r} is not a table of integer rows") from None
         n = len(rows)
         if n == 0:
             raise InputError("empty Cayley table")
@@ -58,16 +57,14 @@ class CayleyAlgebra:
             if min(row) < 0 or max(row) >= n:
                 v = next(v for v in row if not 0 <= v < n)
                 raise InputError(f"table entry {v} outside 0..{n - 1}")
-        object.__setattr__(self, "table", rows)
-        object.__setattr__(self, "names", _checked_names(self.names, n))
+        vars(self).update(table=rows, names=_checked_names(names, n))
 
     @classmethod
     def _trusted(cls, table, names=None) -> "CayleyAlgebra":
         """The algebra of ``table``, a square tuple of int tuples with
         entries in 0..n-1, named by None or n strings; unchecked."""
         alg = object.__new__(cls)
-        object.__setattr__(alg, "table", table)
-        object.__setattr__(alg, "names", names)
+        vars(alg).update(table=table, names=names)
         return alg
 
     # A tuple does not cache its hash, and `check_axioms` looks the
@@ -97,8 +94,7 @@ def _checked_names(names, n: int) -> tuple[str, ...] | None:
     return names
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Value):
     """Outcome for one axiom.
 
     ``witness`` is the lexicographically first violating index tuple in
@@ -109,13 +105,18 @@ class AxiomCheck:
 
     axiom: int
     holds: bool
-    witness: tuple[int, ...] | None = None
-    evaluation: int | None = None
+    witness: tuple[int, ...] | None
+    evaluation: int | None
+
+    def __init__(self, axiom, holds, witness=None, evaluation=None):
+        vars(self).update(axiom=axiom, holds=holds, witness=witness, evaluation=evaluation)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Value):
     checks: tuple[AxiomCheck, ...]
+
+    def __init__(self, checks):
+        vars(self).update(checks=checks)
 
     def check(self, axiom: int) -> AxiomCheck:
         return self.checks[axiom - 1]
@@ -129,19 +130,20 @@ class AxiomReport:
         return all(c.holds for c in self.checks)
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Value):
     """A yes/no property with the first counterexample when it fails."""
 
     holds: bool
-    witness: tuple[int, int] | None = None
+    witness: tuple[int, int] | None
+
+    def __init__(self, holds, witness=None):
+        vars(self).update(holds=holds, witness=witness)
 
     def __bool__(self) -> bool:
         return self.holds
 
 
-@dataclass(frozen=True, init=False)
-class Poset:
+class Poset(Value):
     """A finite partial order on 0..n-1 as one codeword per element.
 
     Bit y of ``rows[x]`` is set iff x <= y, bit 0 the most significant
@@ -176,8 +178,7 @@ class Poset:
                 z = bit_positions(reach & ~rows[x], n)[0]
                 raise InputError(f"relation is not transitive at ({x}, {z})")
         minimum = next((x for x, r in enumerate(rows) if r == (1 << n) - 1), None)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "minimum", minimum)
+        vars(self).update(rows=rows, minimum=minimum)
 
     @property
     def order(self) -> int:

@@ -13,11 +13,11 @@ runs are reproducible and two runs can be compared table for table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from typing import Iterable, Iterator
 
 from . import _kernels
+from ._value import Value
 from .algebra import (
     CayleyAlgebra, Table, _linear_extensions, _relabel, _relabelings, check_axioms, induced_order
 )
@@ -29,6 +29,14 @@ from .errors import InputError, InternalInvariantError, NotBckError
 _MAX_ORDER = 6
 
 
+def _check_order(n: int) -> None:
+    """`InputError` unless the census covers order n, 1 to `_MAX_ORDER`."""
+    if n < 1:
+        raise InputError("order must be positive")
+    if n > _MAX_ORDER:
+        raise InputError(f"order {n} is out of scope (max {_MAX_ORDER})")
+
+
 def _orbits(n: int) -> list[list[Table]]:
     """Every order-n BCK table as one sorted list per isomorphism class.
 
@@ -37,10 +45,7 @@ def _orbits(n: int) -> list[list[Table]]:
     listed by their least table.  Equal rows of different tables are
     one shared tuple, which keeps the order-6 sets small.
     """
-    if n < 1:
-        raise InputError("order must be positive")
-    if n > _MAX_ORDER:
-        raise InputError(f"order {n} is out of scope (max {_MAX_ORDER})")
+    _check_order(n)
     relabelings = list(_relabelings(n))
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     seen: set[Table] = set()
@@ -66,17 +71,25 @@ def _checked(tables: Iterable[Table]) -> Iterator[CayleyAlgebra]:
         yield alg
 
 
+def _sorted_tables(n: int) -> Iterator[Table]:
+    """Every order-n BCK table, ascending; the search runs on the first `next()`."""
+    yield from sorted(chain.from_iterable(_orbits(n)))
+
+
 def enumerate_bck_algebras(n: int) -> Iterator[CayleyAlgebra]:
     """Stream every BCK Cayley table of order n, element 0 the constant.
 
     Tables arrive in ascending order, compared row by row: the order in
     which a row-major depth-first search over all labelings, values
-    ascending, would find them.  The whole set is built before the
-    first table is yielded.  Each table is re-validated with
-    `check_axioms`; the kernel already guarantees BCK, so a failure is
-    an internal invariant breach.
+    ascending, would find them.  The order is checked on the call,
+    which raises `InputError` outside 1 to 6; the search runs on the
+    first `next()`, and the whole set is built before the first table
+    is yielded.  Each table is re-validated with `check_axioms`; the
+    kernel already guarantees BCK, so a failure is an internal
+    invariant breach.
     """
-    yield from _checked(sorted(chain.from_iterable(_orbits(n))))
+    _check_order(n)
+    return _checked(_sorted_tables(n))
 
 
 def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
@@ -108,8 +121,7 @@ def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     return BlockCode.of(least, n)
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(Value):
     """One isomorphism class: its least table, its size and its codes."""
 
     representative: CayleyAlgebra
@@ -117,9 +129,13 @@ class ClassEntry:
     code: BlockCode
     label_canonical: BlockCode
 
+    def __init__(self, representative, size, code, label_canonical):
+        vars(self).update(
+            representative=representative, size=size, code=code, label_canonical=label_canonical
+        )
 
-@dataclass(frozen=True)
-class CensusReport:
+
+class CensusReport(Value):
     """Counting summary for one order.
 
     ``similarity_classes`` counts distinct plain canonical codes over
@@ -140,6 +156,17 @@ class CensusReport:
     bound_check: bool
     code_varies_within_iso_class: bool
     class_inventory: tuple[ClassEntry, ...]
+
+    def __init__(
+        self, order, total_tables, iso_classes, similarity_classes, label_canonical_classes,
+        bound, bound_check, code_varies_within_iso_class, class_inventory,
+    ):
+        vars(self).update(
+            order=order, total_tables=total_tables, iso_classes=iso_classes, bound=bound,
+            similarity_classes=similarity_classes, label_canonical_classes=label_canonical_classes,
+            bound_check=bound_check, code_varies_within_iso_class=code_varies_within_iso_class,
+            class_inventory=class_inventory,
+        )
 
 
 def census(n: int) -> CensusReport:

@@ -14,7 +14,6 @@ import contextlib
 import errno
 import os
 import sys
-from dataclasses import asdict
 
 from . import _kernels, io
 from .algebra import (
@@ -61,7 +60,7 @@ def _witness_str(witness) -> str:
 
 
 def _property_json(p: PropertyCheck | None):
-    return None if p is None else asdict(p)
+    return None if p is None else p._asdict()
 
 
 def cmd_verify(args) -> int:
@@ -77,7 +76,7 @@ def cmd_verify(args) -> int:
     if args.json:
         payload = {
             "order": alg.order,
-            "axioms": [asdict(c) for c in report.checks],
+            "axioms": [c._asdict() for c in report.checks],
             "bci": report.is_bci,
             "bck": report.is_bck,
             "commutative": _property_json(comm),

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import product, repeat
-from typing import Iterable, Iterator
 
+from ._value import Value
 from .errors import InputError, InternalInvariantError
 
 
@@ -66,8 +66,7 @@ def bit_positions(value: int, length: int) -> list[int]:
     return positions
 
 
-@dataclass(frozen=True, init=False)
-class Codeword:
+class Codeword(Value):
     """A word of ``length`` bits; bit 0 is the most significant bit of ``value``."""
 
     value: int
@@ -81,8 +80,7 @@ class Codeword:
             raise InputError("codeword bits must be 0 or 1") from None
         if not bits:
             raise InputError("empty codeword")
-        object.__setattr__(self, "value", pack_bits(bits))
-        object.__setattr__(self, "length", len(bits))
+        vars(self).update(value=pack_bits(bits), length=len(bits))
 
     @classmethod
     def of(cls, value: int, length: int) -> "Codeword":
@@ -126,7 +124,7 @@ class Codeword:
 def _codeword(value: int, length: int) -> Codeword:
     """The `Codeword` of an int ``value`` known to fit in ``length`` >= 1 bits."""
     w = object.__new__(Codeword)
-    fields = w.__dict__  # one dict write per field; the dataclass is frozen
+    fields = w.__dict__  # one dict write per field; the class is frozen
     fields["value"] = value
     fields["length"] = length
     return w
@@ -139,8 +137,7 @@ def word_leq(a: Codeword, b: Codeword) -> bool:
     return b.value & ~a.value == 0
 
 
-@dataclass(frozen=True, init=False)
-class BlockCode:
+class BlockCode(Value):
     """A non-empty set of distinct words of ``length`` bits, held as integers.
 
     ``values[i]`` is word i in the `Codeword` layout, bit 0 the most
@@ -166,7 +163,7 @@ class BlockCode:
         if any(len(w) != length for w in words):
             raise InputError("codewords must share one length")
         values = _distinct(tuple(w.value for w in words))
-        vars(self).update(values=values, length=length)  # the dataclass is frozen
+        vars(self).update(values=values, length=length)
 
     @classmethod
     def of(cls, values, length: int) -> "BlockCode":
@@ -213,7 +210,7 @@ def _distinct(values: tuple[int, ...]) -> tuple[int, ...]:
 def _block_code(values: tuple[int, ...], length: int) -> BlockCode:
     """The `BlockCode` of distinct ints ``values`` known to fit in ``length`` >= 1 bits."""
     code = object.__new__(BlockCode)
-    vars(code).update(values=values, length=length)  # the dataclass is frozen
+    vars(code).update(values=values, length=length)
     return code
 
 
@@ -222,10 +219,12 @@ def lex_sort_desc(code: BlockCode) -> BlockCode:
     return BlockCode.of(sorted(code.values, reverse=True), code.length)
 
 
-@dataclass(frozen=True)
-class MembershipCheck:
+class MembershipCheck(Value):
     ok: bool
-    reason: str | None = None
+    reason: str | None
+
+    def __init__(self, ok, reason=None):
+        vars(self).update(ok=ok, reason=reason)
 
     def __bool__(self) -> bool:
         return self.ok

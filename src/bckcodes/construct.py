@@ -10,8 +10,8 @@ how faithfully the canonical code of that algebra reproduces the input.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
+from ._value import Value
 from .algebra import CayleyAlgebra, Poset, _checked_names
 from .codes import BlockCode, Codeword, _triangular_defect, bit_positions
 from .encode import BckFunction
@@ -38,14 +38,16 @@ def algebra_from_poset(p: Poset, names: tuple[str, ...] | None = None) -> Cayley
     return CayleyAlgebra._trusted(tuple(map(tuple, table)), names)
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(Value):
     """Everything produced on the way from a code to its algebra."""
 
     algebra: CayleyAlgebra
     code: BlockCode
     function: BckFunction
     poset: Poset
+
+    def __init__(self, algebra, code, function, poset):
+        vars(self).update(algebra=algebra, code=code, function=function, poset=poset)
 
 
 def construct_from_code(code: BlockCode) -> ConstructionResult:
@@ -90,15 +92,16 @@ def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
     return code, tuple(rows)
 
 
-@dataclass(frozen=True)
-class RowMismatch:
+class RowMismatch(Value):
     element: int
     expected: Codeword
     produced: Codeword
 
+    def __init__(self, element, expected, produced):
+        vars(self).update(element=element, expected=expected, produced=produced)
 
-@dataclass(frozen=True)
-class RoundTripReport:
+
+class RoundTripReport(Value):
     """How the regenerated canonical code relates to the input code.
 
     The report holds its inputs: ``code``, the sorted input code, and
@@ -125,6 +128,9 @@ class RoundTripReport:
 
     code: BlockCode
     rows: tuple[int, ...]
+
+    def __init__(self, code, rows):
+        vars(self).update(code=code, rows=rows)
 
     @property
     def exact(self) -> bool:

@@ -9,38 +9,35 @@ is reported with its words in descending lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .algebra import CayleyAlgebra, check_axioms
 from .codes import BlockCode, Codeword, as_int, as_ints, pack_bits
 from .errors import InputError, NotBckError
 
 
-@dataclass(frozen=True)
-class BckFunction:
+class BckFunction(Value):
     """A map from distinct labels into the carrier of an algebra."""
 
     domain: tuple[str, ...]
     algebra: CayleyAlgebra
     values: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, domain, algebra, values):
         try:
-            domain = tuple(str(s) for s in self.domain)
+            domain = tuple(str(s) for s in domain)
         except TypeError:
-            raise InputError(f"function domain {self.domain!r} is not a sequence") from None
-        values = as_ints(self.values)
+            raise InputError(f"function domain {domain!r} is not a sequence") from None
+        values = as_ints(values)
         if not domain:
             raise InputError("function domain is empty")
         if len(set(domain)) != len(domain):
             raise InputError("duplicate label in function domain")
         if len(values) != len(domain):
             raise InputError("need exactly one value per label")
-        n = self.algebra.order
+        n = algebra.order
         if any(not 0 <= v < n for v in values):
             raise InputError("function value outside the carrier")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
+        vars(self).update(domain=domain, algebra=algebra, values=values)
 
     @classmethod
     def identity(cls, alg: CayleyAlgebra) -> "BckFunction":
@@ -61,8 +58,7 @@ def cut_subset(f: BckFunction, r: int) -> tuple[str, ...]:
     return tuple(a for a, v in zip(f.domain, f.values) if t[r][v] == 0)
 
 
-@dataclass(frozen=True)
-class EquivalenceClasses:
+class EquivalenceClasses(Value):
     """Partition of the carrier by equal cut subsets.
 
     Classes are sorted by their smallest member, members ascending;
@@ -71,6 +67,9 @@ class EquivalenceClasses:
 
     classes: tuple[tuple[int, ...], ...]
     cuts: tuple[tuple[str, ...], ...]
+
+    def __init__(self, classes, cuts):
+        vars(self).update(classes=classes, cuts=cuts)
 
     @property
     def count(self) -> int:

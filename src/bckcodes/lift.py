@@ -10,8 +10,7 @@ code, and reads the original code back off the columns that carried A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .algebra import MAX_ORDER, CayleyAlgebra, Poset
 from .codes import (
     BlockCode,
@@ -26,8 +25,7 @@ from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Value):
     """Outcome of lifting a code into the triangular family.
 
     ``column_map[j]`` is the ambient algebra element standing for
@@ -44,6 +42,14 @@ class LiftResult:
     source_code: BlockCode
     embedded: BlockCode
     ambient: BlockCode
+
+    def __init__(
+        self, algebra, domain, function, lifted_code, column_map, source_code, embedded, ambient
+    ):
+        vars(self).update(
+            algebra=algebra, domain=domain, function=function, lifted_code=lifted_code,
+            column_map=column_map, source_code=source_code, embedded=embedded, ambient=ambient,
+        )
 
 
 def lift_code(v: BlockCode) -> LiftResult:

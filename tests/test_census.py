@@ -471,18 +471,25 @@ def test_quotient_classes_rejects_non_bck():
     assert bc.quotient_classes([]) == ()
 
 
-def test_enumeration_bounds():
+def test_enumeration_bounds(monkeypatch):
     # order 6 is the ceiling and needs no flag; the CLI's --max-order
-    # is the only opt-in for it
+    # is the only opt-in for it.  Both entry points raise on the call.
     for n in (0, -2):
         with pytest.raises(bc.InputError, match="^order must be positive$"):
-            next(bc.enumerate_bck_algebras(n))
+            bc.enumerate_bck_algebras(n)
         with pytest.raises(bc.InputError, match="^order must be positive$"):
             bc.census(n)
     for n in (7, 12):
         with pytest.raises(bc.InputError, match=rf"^order {n} is out of scope \(max 6\)$"):
-            next(bc.enumerate_bck_algebras(n))
+            bc.enumerate_bck_algebras(n)
         with pytest.raises(bc.InputError, match=rf"^order {n} is out of scope \(max 6\)$"):
             bc.census(n)
-    first = next(bc.enumerate_bck_algebras(6))
+    # the search itself still waits for the first next()
+    calls = []
+    orbits = census_module._orbits
+    monkeypatch.setattr(census_module, "_orbits", lambda n: calls.append(n) or orbits(n))
+    stream = bc.enumerate_bck_algebras(6)
+    assert calls == []
+    first = next(stream)
+    assert calls == [6]
     assert bc.check_axioms(first).is_bck

@@ -36,6 +36,20 @@ def _fresh(script, *args):
     return proc.stdout
 
 
+def test_import_loads_no_dataclasses_inspect_typing_or_numpy():
+    # -S: no site module, which would load typing on some installs
+    script = (
+        f"import sys\nsys.path.insert(0, {_SRC!r})\n"
+        "import bckcodes\nimport bckcodes.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "[]\n"
+
+
 def test_import_and_the_commands_without_an_array_scan_leave_numpy_unloaded(tmp_path):
     alg = tmp_path / "alg.txt"
     alg.write_text(io.render_algebra(bc.CayleyAlgebra(rd.ALG4_COMMUTATIVE)))

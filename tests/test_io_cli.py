@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io as stdio
@@ -1237,7 +1236,7 @@ def _construction_loses_the_lifted_columns(monkeypatch, tmp_path):
         result = build(code)
         n = result.poset.order
         identity = bc.Poset(tuple(1 << (n - 1 - x) for x in range(n)))
-        return dataclasses.replace(result, poset=identity)
+        return bc.ConstructionResult(result.algebra, result.code, result.function, identity)
 
     monkeypatch.setattr(lift, "construct_from_code", cleared)
     return ["lift", _write(tmp_path, "code.txt", "110\n011\n101\n")]
