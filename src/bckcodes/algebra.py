@@ -318,6 +318,7 @@ def pointwise_function_algebra(k: int) -> CayleyAlgebra:
     (pointwise truncated difference).  The result is always a BCK table
     and always implicative.
     """
+    k = as_int(k)
     max_bits = MAX_ORDER.bit_length() - 1
     if not 1 <= k <= max_bits:
         raise InputError(f"k must be within 1..{max_bits}")

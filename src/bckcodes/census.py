@@ -21,7 +21,7 @@ from ._value import Value
 from .algebra import (
     CayleyAlgebra, Table, _linear_extensions, _relabel, _relabelings, check_axioms, induced_order
 )
-from .codes import BlockCode, bit_positions
+from .codes import BlockCode, as_int, bit_positions
 from .encode import _code
 from .errors import InputError, InternalInvariantError, NotBckError
 
@@ -29,12 +29,14 @@ from .errors import InputError, InternalInvariantError, NotBckError
 _MAX_ORDER = 6
 
 
-def _check_order(n: int) -> None:
-    """`InputError` unless the census covers order n, 1 to `_MAX_ORDER`."""
+def _check_order(n: int) -> int:
+    """n as an int; `InputError` unless the census covers order n, 1 to `_MAX_ORDER`."""
+    n = as_int(n)
     if n < 1:
         raise InputError("order must be positive")
     if n > _MAX_ORDER:
         raise InputError(f"order {n} is out of scope (max {_MAX_ORDER})")
+    return n
 
 
 def _orbits(n: int) -> list[list[Table]]:
@@ -43,9 +45,9 @@ def _orbits(n: int) -> list[list[Table]]:
     Each kernel table not yet seen is relabeled by every bijection of
     `algebra._relabelings`, and its orbit is one class.  Classes are
     listed by their least table.  Equal rows of different tables are
-    one shared tuple, which keeps the order-6 sets small.
+    one shared tuple, which keeps the order-6 sets small.  The callers
+    check n with `_check_order`.
     """
-    _check_order(n)
     relabelings = list(_relabelings(n))
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     seen: set[Table] = set()
@@ -88,7 +90,7 @@ def enumerate_bck_algebras(n: int) -> Iterator[CayleyAlgebra]:
     kernel already guarantees BCK, so a failure is an internal
     invariant breach.
     """
-    _check_order(n)
+    n = _check_order(n)
     return _checked(_sorted_tables(n))
 
 
@@ -177,6 +179,7 @@ def census(n: int) -> CensusReport:
     the least code of its members, which is `label_canonical_code` of
     any member.  Classes are listed by representative.
     """
+    n = _check_order(n)
     inventory = []
     varies = False
     code_keys = set()

@@ -56,12 +56,16 @@ def construct_from_code(code: BlockCode) -> ConstructionResult:
     The code is sorted lex-descending first, so element i of the
     algebra corresponds to sorted word i (the all-ones word becomes 0).
     """
-    sorted_code, rows = _word_order(code)
+    return _construction(*_word_order(code))
+
+
+def _construction(code: BlockCode, rows: tuple[int, ...]) -> ConstructionResult:
+    """The construction of ``code`` and its word-order ``rows``, as
+    `_word_order` returns them: the code sorted and checked."""
     poset = Poset(rows)
-    names = tuple(f"w{i + 1}" for i in range(len(sorted_code)))
+    names = tuple(f"w{i + 1}" for i in range(len(code)))
     algebra = algebra_from_poset(poset, names)
-    function = BckFunction.identity(algebra)
-    return ConstructionResult(algebra, sorted_code, function, poset)
+    return ConstructionResult(algebra, code, BckFunction.identity(algebra), poset)
 
 
 def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:

@@ -4,23 +4,27 @@ algebra carried by the whole family of a given order.
 `lift_code` takes the sorted code's words as the rows of an n x m
 matrix A, widens it with `embed_matrix` into the square block matrix
 [[I_n, A], [0, I_m]], completes that with `ensure_all_ones` when it
-lacks an all-ones first row, rebuilds the algebra of the completed
+lacks an all-ones first row, takes the word order of the completed
 code, and reads the original code back off the columns that carried A.
+The algebra of the completed code is built when it is first read.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ._value import Value
 from .algebra import MAX_ORDER, CayleyAlgebra, Poset
 from .codes import (
     BlockCode,
+    as_int,
     embed_matrix,
     ensure_all_ones,
     enumerate_triangular_codes,
     lex_sort_desc,
     staircase_code,
 )
-from .construct import algebra_from_poset, construct_from_code
+from .construct import _construction, _word_order, algebra_from_poset
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
@@ -28,49 +32,63 @@ from .errors import InputError, InternalInvariantError
 class LiftResult(Value):
     """Outcome of lifting a code into the triangular family.
 
-    ``column_map[j]`` is the ambient algebra element standing for
-    column j of the sorted input; ``domain`` holds those elements'
-    labels in the same order.  ``lifted_code`` always contains every
-    word of the sorted input.
+    The result holds what the lift computes: ``lifted_code``, the
+    sorted input ``source_code``, ``embedded`` and ``ambient``, and
+    ``rows``, the rows of the ambient code's word order as `_word_order`
+    returns them.  ``lifted_code`` always contains every word of the
+    sorted input.  ``column_map[j]`` is the ambient algebra element
+    standing for column j of the sorted input, one of the last m
+    elements.  ``algebra`` (that of `construct_from_code(ambient)`),
+    ``domain`` (the labels of the ``column_map`` elements) and
+    ``function`` are built by the checking constructors on first read
+    and cached; equality and hashing come from the stored fields, which
+    determine every other.
     """
 
-    algebra: CayleyAlgebra
-    domain: tuple[str, ...]
-    function: BckFunction
     lifted_code: BlockCode
-    column_map: tuple[int, ...]
     source_code: BlockCode
     embedded: BlockCode
     ambient: BlockCode
+    rows: tuple[int, ...]
 
-    def __init__(
-        self, algebra, domain, function, lifted_code, column_map, source_code, embedded, ambient
-    ):
+    def __init__(self, lifted_code, source_code, embedded, ambient, rows):
         vars(self).update(
-            algebra=algebra, domain=domain, function=function, lifted_code=lifted_code,
-            column_map=column_map, source_code=source_code, embedded=embedded, ambient=ambient,
+            lifted_code=lifted_code, source_code=source_code, embedded=embedded,
+            ambient=ambient, rows=rows,
         )
+
+    @property
+    def column_map(self) -> tuple[int, ...]:
+        order = len(self.ambient)
+        return tuple(range(order - self.source_code.length, order))
+
+    @functools.cached_property
+    def algebra(self) -> CayleyAlgebra:
+        return _construction(self.ambient, self.rows).algebra
+
+    @functools.cached_property
+    def domain(self) -> tuple[str, ...]:
+        return tuple(self.algebra.names[e] for e in self.column_map)
+
+    @functools.cached_property
+    def function(self) -> BckFunction:
+        return BckFunction(self.domain, self.algebra, self.column_map)
 
 
 def lift_code(v: BlockCode) -> LiftResult:
     """Lift ``v`` into the triangular family; `InputError`, before any
-    matrix is built, when the ambient order would exceed `algebra.MAX_ORDER`."""
+    matrix is built, when the ambient order would exceed `algebra.MAX_ORDER`.
+    The lift builds no poset and no table until ``algebra`` is read."""
     # the rows of [[I, A], [0, I]], plus an all-ones row unless A is one all-ones word
     order = len(v) + v.length + (len(v) > 1 or v.values[0] != (1 << v.length) - 1)
     if order > MAX_ORDER:
         raise InputError(f"ambient order {order} exceeds the bound {MAX_ORDER}")
     sorted_v = lex_sort_desc(v)
     embedded = embed_matrix(sorted_v)
-    ambient = ensure_all_ones(embedded)
-
-    result = construct_from_code(ambient)
+    ambient, rows = _word_order(ensure_all_ones(embedded))
     m = sorted_v.length
-    column_map = tuple(range(order - m, order))
-    names = result.algebra.names
-    domain = tuple(names[e] for e in column_map)
-    function = BckFunction(domain, result.algebra, column_map)
     # element r's word on the last m columns is the low m bits of its order row
-    words = {r & (1 << m) - 1 for r in result.poset.rows}
+    words = {r & (1 << m) - 1 for r in rows}
     lifted = BlockCode.of(sorted(words, reverse=True), m)
 
     missing = set(sorted_v.values) - set(lifted.values)
@@ -78,16 +96,7 @@ def lift_code(v: BlockCode) -> LiftResult:
         raise InternalInvariantError(
             f"lifted code lost {len(missing)} input codeword(s)"
         )
-    return LiftResult(
-        algebra=result.algebra,
-        domain=domain,
-        function=function,
-        lifted_code=lifted,
-        column_map=column_map,
-        source_code=sorted_v,
-        embedded=embedded,
-        ambient=ambient,
-    )
+    return LiftResult(lifted, sorted_v, embedded, ambient, rows)
 
 
 def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
@@ -107,6 +116,7 @@ def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:
     Bounded at n = 6, where the family has 1024 members:
     order 7 has 32,768, so its table would have 2**30 cells.
     """
+    n = as_int(n)
     if not 1 <= n <= 6:
         raise InputError("family_algebra supports 1 <= n <= 6")
 

@@ -509,6 +509,34 @@ def test_constructors_raise_input_error_on_the_wrong_type(build, message):
     assert str(exc.value) == message
 
 
+_ORDER_TAKERS = [
+    bc.enumerate_bck_algebras,
+    bc.census,
+    bc.family_algebra,
+    bc.pointwise_function_algebra,
+    bc.enumerate_triangular_codes,
+    bc.staircase_code,
+]
+
+
+@pytest.mark.parametrize("build", _ORDER_TAKERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("order", [2.5, "3", None], ids=repr)
+def test_order_arguments_raise_input_error_on_the_call(build, order):
+    # on the call itself: no next() on the lazy streams
+    with pytest.raises(bc.InputError) as exc:
+        build(order)
+    assert str(exc.value) == f"{order!r} is not an integer"
+
+
+@pytest.mark.parametrize("build", _ORDER_TAKERS, ids=lambda f: f.__name__)
+def test_order_true_is_order_one(build):
+    result, expected = build(True), build(1)
+    if build in (bc.enumerate_bck_algebras, bc.enumerate_triangular_codes):
+        result, expected = list(result), list(expected)
+    assert result == expected
+    assert repr(result) == repr(expected)
+
+
 # ------------------------------------------ membership and enumeration order
 
 

@@ -1229,16 +1229,15 @@ def _membership_check_passes_a_code_without_all_ones(monkeypatch, tmp_path):
     return ["construct", _write(tmp_path, "code.txt", "10\n01\n")]
 
 
-def _construction_loses_the_lifted_columns(monkeypatch, tmp_path):
-    build = lift.construct_from_code
+def _word_order_loses_the_lifted_columns(monkeypatch, tmp_path):
+    word_order = lift._word_order
 
     def cleared(code):
-        result = build(code)
-        n = result.poset.order
-        identity = bc.Poset(tuple(1 << (n - 1 - x) for x in range(n)))
-        return bc.ConstructionResult(result.algebra, result.code, result.function, identity)
+        code, rows = word_order(code)
+        n = len(rows)
+        return code, tuple(1 << (n - 1 - x) for x in range(n))  # the identity order
 
-    monkeypatch.setattr(lift, "construct_from_code", cleared)
+    monkeypatch.setattr(lift, "_word_order", cleared)
     return ["lift", _write(tmp_path, "code.txt", "110\n011\n101\n")]
 
 
@@ -1266,7 +1265,7 @@ def _family_enumeration_tops_the_staircase(monkeypatch, tmp_path):
 @pytest.mark.parametrize("breach, message", [
     (_census_search_yields_a_non_bck_table, "search yielded a non-BCK table ((0, 0), (1, 1))"),
     (_membership_check_passes_a_code_without_all_ones, "all-ones word is not the order minimum"),
-    (_construction_loses_the_lifted_columns, "lifted code lost 3 input codeword(s)"),
+    (_word_order_loses_the_lifted_columns, "lifted code lost 3 input codeword(s)"),
     (_family_enumeration_misses_the_staircase, "family maximum is not the staircase code"),
     (_family_enumeration_tops_the_staircase, "staircase code is not the order minimum"),
 ], ids=["census", "construct", "lift", "family-maximum", "family-minimum"])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import bckcodes as bc
+from bckcodes import algebra as algebra_module, construct as construct_module
 from bckcodes.codes import pack_bits
 import reference_data as rd
 from test_construct import descend_from_the_diagonal
@@ -119,6 +120,74 @@ def test_lift_random_codes_contain_their_source():
         assert bc.is_triangular_code(result.ambient)
         assert set(result.source_code.words) <= set(result.lifted_code.words)
         assert result.lifted_code.length == code.length
+
+
+def _seeded_codes(count=2000, seed=7):
+    """Codes as the codes-7 benchmark draws them: 2-8 distinct words of 2-8 bits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        length = rng.randint(2, 8)
+        words = rng.randint(2, min(8, 2**length))
+        yield bc.BlockCode.of(rng.sample(range(2**length), words), length)
+
+
+def _lift_fields(v):
+    """Every field of the lift of ``v``, read off `construct_from_code` of its ambient code."""
+    embedded = bc.embed_matrix(bc.lex_sort_desc(v))
+    result = bc.construct_from_code(bc.ensure_all_ones(embedded))
+    order, m = len(result.code), v.length
+    column_map = tuple(range(order - m, order))
+    domain = tuple(result.algebra.names[e] for e in column_map)
+    words = sorted({r & (1 << m) - 1 for r in result.poset.rows}, reverse=True)
+    return {
+        "algebra": result.algebra,
+        "domain": domain,
+        "function": bc.BckFunction(domain, result.algebra, column_map),
+        "column_map": column_map,
+        "lifted_code": bc.BlockCode.of(words, m),
+        "ambient": result.code,
+        "embedded": embedded,
+    }
+
+
+@pytest.mark.parametrize("codes", ["readme", "seeded"])
+def test_lift_fields_match_the_construction_of_the_ambient_code(codes):
+    if codes == "readme":
+        codes = [bc.BlockCode.from_strings(["110", "011", "101"])]
+    else:
+        codes = _seeded_codes()
+    for v in codes:
+        result = bc.lift_code(v)
+        for field, expected in _lift_fields(v).items():
+            # the reprs compare names too, which equality leaves out
+            assert repr(getattr(result, field)) == repr(expected), (v, field)
+
+
+def test_lifted_code_builds_no_poset_and_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a poset or a table")
+
+    for module in (construct_module, algebra_module):
+        monkeypatch.setattr(module, "Poset", refuse)
+    monkeypatch.setattr(construct_module, "algebra_from_poset", refuse)
+    result = bc.lift_code(bc.BlockCode.from_strings(rd.LIFT_INPUT))
+    assert result.lifted_code.strings() == rd.LIFT_OUTPUT
+    assert result.column_map == rd.LIFT_COLUMN_MAP
+
+
+def test_the_algebra_is_built_once_on_first_read(monkeypatch):
+    calls = []
+    build = construct_module.algebra_from_poset
+    monkeypatch.setattr(
+        construct_module, "algebra_from_poset", lambda *args: calls.append(args) or build(*args)
+    )
+    result = bc.lift_code(bc.BlockCode.from_strings(rd.LIFT_INPUT))
+    assert calls == []
+    algebra = result.algebra
+    assert len(calls) == 1
+    assert result.domain == ("w6", "w7", "w8", "w9", "w10")
+    assert result.function.algebra is algebra and result.algebra is algebra
+    assert len(calls) == 1
 
 
 def test_family_algebra_small():

@@ -32,10 +32,8 @@ def _function(values=(0, 1)):
     return bc.BckFunction(("a", "b"), _alg(), values)
 
 
-def _lift(column_map=(1,)):
-    return bc.LiftResult(
-        _alg(), ("b",), _function(), _code(), column_map, _code((2,)), _code(), _code()
-    )
+def _lift(rows=(3, 1)):
+    return bc.LiftResult(_code(), _code((2,)), _code(), _code(), rows)
 
 
 # (make an instance, a differing instance, the instance's repr)
@@ -126,13 +124,11 @@ CASES = {
     ),
     "LiftResult": (
         _lift,
-        _lift((0,)),
-        "LiftResult(algebra=CayleyAlgebra(table=((0, 0), (1, 0)), names=('a', 'b')), "
-        "domain=('b',), function=BckFunction(domain=('a', 'b'), "
-        "algebra=CayleyAlgebra(table=((0, 0), (1, 0)), names=('a', 'b')), values=(0, 1)), "
-        "lifted_code=BlockCode(values=(3, 1), length=2), column_map=(1,), "
+        _lift((3, 0)),
+        "LiftResult(lifted_code=BlockCode(values=(3, 1), length=2), "
         "source_code=BlockCode(values=(2,), length=2), "
-        "embedded=BlockCode(values=(3, 1), length=2), ambient=BlockCode(values=(3, 1), length=2))",
+        "embedded=BlockCode(values=(3, 1), length=2), ambient=BlockCode(values=(3, 1), length=2), "
+        "rows=(3, 1))",
     ),
 }
 
