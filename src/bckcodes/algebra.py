@@ -105,18 +105,12 @@ class AxiomCheck(Value):
 
     axiom: int
     holds: bool
-    witness: tuple[int, ...] | None
-    evaluation: int | None
-
-    def __init__(self, axiom, holds, witness=None, evaluation=None):
-        vars(self).update(axiom=axiom, holds=holds, witness=witness, evaluation=evaluation)
+    witness: tuple[int, ...] | None = None
+    evaluation: int | None = None
 
 
 class AxiomReport(Value):
     checks: tuple[AxiomCheck, ...]
-
-    def __init__(self, checks):
-        vars(self).update(checks=checks)
 
     def check(self, axiom: int) -> AxiomCheck:
         return self.checks[axiom - 1]
@@ -134,10 +128,7 @@ class PropertyCheck(Value):
     """A yes/no property with the first counterexample when it fails."""
 
     holds: bool
-    witness: tuple[int, int] | None
-
-    def __init__(self, holds, witness=None):
-        vars(self).update(holds=holds, witness=witness)
+    witness: tuple[int, int] | None = None
 
     def __bool__(self) -> bool:
         return self.holds

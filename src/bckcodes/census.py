@@ -103,13 +103,24 @@ def label_canonical_code(alg: CayleyAlgebra) -> BlockCode:
     the words {h(y) : y in up(x)}: only the order's n rows are
     relabeled, never the table.  The relabelings tried are the linear
     extensions of `induced_order(alg)`, from `algebra._linear_extensions`:
-    e(P) maps instead of all (n-1)! bijections fixing 0.  The least code
-    over them equals the least over all (n-1)! for every order up to
-    n = 7 and on sampled orders at n = 8; that is measured, not proved.
-    Either way the value is constant on isomorphism classes, and it
-    determines the order up to isomorphism, since it is the rows of a
-    naturally labeled copy.  The axioms are checked once; relabeling
-    preserves them.
+    e(P) maps instead of all (n-1)! bijections fixing 0.
+
+    The least code over them is the least over all (n-1)!, by an
+    exchange argument.  The word of x under h is the sum of
+    2^(n-1-h(y)) over y >= x, and the code is the words sorted
+    descending.  Take h fixing 0 with an inversion, v < u in the order
+    but h(v) > h(u); neither is 0, which is least and fixed.  Swap the
+    labels of u and v.  When x <= v, also x <= u, both bits stay set and
+    the word stays; when x <= u but not x <= v, which includes x = u,
+    bit h(u) moves to the less significant h(v) and the word falls;
+    otherwise neither bit is set.  So every word falls or stays, and so
+    does the k-th largest for every k, while the sum falls: the sorted
+    code is no greater in any place and differs somewhere, so it is
+    lexicographically smaller.  Every minimiser over the (n-1)! maps is
+    therefore a linear extension.  The value is constant on isomorphism
+    classes, and it determines the order up to isomorphism, since it is
+    the rows of a naturally labeled copy.  The axioms are checked once;
+    relabeling preserves them.
     """
     if not check_axioms(alg).is_bck:
         raise NotBckError("label_canonical_code requires a BCK-algebra")
@@ -130,11 +141,6 @@ class ClassEntry(Value):
     size: int
     code: BlockCode
     label_canonical: BlockCode
-
-    def __init__(self, representative, size, code, label_canonical):
-        vars(self).update(
-            representative=representative, size=size, code=code, label_canonical=label_canonical
-        )
 
 
 class CensusReport(Value):
@@ -158,17 +164,6 @@ class CensusReport(Value):
     bound_check: bool
     code_varies_within_iso_class: bool
     class_inventory: tuple[ClassEntry, ...]
-
-    def __init__(
-        self, order, total_tables, iso_classes, similarity_classes, label_canonical_classes,
-        bound, bound_check, code_varies_within_iso_class, class_inventory,
-    ):
-        vars(self).update(
-            order=order, total_tables=total_tables, iso_classes=iso_classes, bound=bound,
-            similarity_classes=similarity_classes, label_canonical_classes=label_canonical_classes,
-            bound_check=bound_check, code_varies_within_iso_class=code_varies_within_iso_class,
-            class_inventory=class_inventory,
-        )
 
 
 def census(n: int) -> CensusReport:

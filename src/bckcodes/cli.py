@@ -233,25 +233,17 @@ def cmd_enumerate(args) -> int:
             _write_stderr(f"warning: order {n} enumeration may take a while\n")
         report = census(n)
         if args.json:
-            payload = {
-                "order": report.order,
-                "total_tables": report.total_tables,
-                "iso_classes": report.iso_classes,
-                "similarity_classes": report.similarity_classes,
-                "label_canonical_classes": report.label_canonical_classes,
-                "bound": report.bound,
-                "bound_check": report.bound_check,
-                "code_varies_within_iso_class": report.code_varies_within_iso_class,
-                "classes": [
-                    {
-                        "size": e.size,
-                        "table": e.representative.table,
-                        "code": e.code.strings(),
-                        "label_canonical_code": e.label_canonical.strings(),
-                    }
-                    for e in report.class_inventory
-                ],
-            }
+            # the summary keys are the report's fields, in field order
+            payload = report._asdict()
+            payload["classes"] = [
+                {
+                    "size": e.size,
+                    "table": e.representative.table,
+                    "code": e.code.strings(),
+                    "label_canonical_code": e.label_canonical.strings(),
+                }
+                for e in payload.pop("class_inventory")
+            ]
             sys.stdout.writelines(io.stream_report("census", payload))
         else:
             lines = [

@@ -85,10 +85,7 @@ class Codeword(Value):
     @classmethod
     def of(cls, value: int, length: int) -> "Codeword":
         """The word of ``length`` bits whose integer value is ``value``."""
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise InputError(f"{value!r} is not an integer") from None
+        value = as_int(value)
         try:
             if length < 1 or not 0 <= value < 1 << length:
                 raise InputError(f"value {value} does not fit in {length} bits")
@@ -221,10 +218,7 @@ def lex_sort_desc(code: BlockCode) -> BlockCode:
 
 class MembershipCheck(Value):
     ok: bool
-    reason: str | None
-
-    def __init__(self, ok, reason=None):
-        vars(self).update(ok=ok, reason=reason)
+    reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -275,6 +269,16 @@ def _row_defect(value: int, i: int, n: int) -> str | None:
     if not value >> (n - 1 - i) & 1:
         return "has no 1 on the diagonal"
     return None
+
+
+def _family_values(code: BlockCode) -> list[int]:
+    """The values of a triangular-family code, lex-descending;
+    `InputError` naming the first failed condition when it is not one."""
+    values = sorted(code.values, reverse=True)
+    reason = _triangular_defect(values, code.length)
+    if reason:
+        raise InputError(f"not a triangular-family code: {reason}")
+    return values
 
 
 def embed_matrix(m: BlockCode) -> BlockCode:
@@ -343,21 +347,16 @@ class Comparison(enum.Enum):
 def _sorted_members(code: BlockCode, other: BlockCode):
     if code.length != other.length or len(code) != len(other):
         raise InputError("codes must share the same order to be compared")
-    pair = [sorted(c.values, reverse=True) for c in (code, other)]
-    for values in pair:
-        reason = _triangular_defect(values, code.length)
-        if reason:
-            raise InputError(f"not a triangular-family code: {reason}")
-    return pair
+    return _family_values(code), _family_values(other)
 
 
 def compare_codes_lex(v: BlockCode, w: BlockCode) -> Comparison:
     """Total order: compare the first differing sorted rows as numbers."""
     a, b = _sorted_members(v, w)
-    for ra, rb in zip(a, b):
-        if ra != rb:
-            return Comparison.GREATER if ra > rb else Comparison.LESS
-    return Comparison.EQUAL
+    # lists of one length compare at their first differing item
+    if a == b:
+        return Comparison.EQUAL
+    return Comparison.GREATER if a > b else Comparison.LESS
 
 
 def compare_codes_word(v: BlockCode, w: BlockCode) -> Comparison:

@@ -13,7 +13,7 @@ import functools
 
 from ._value import Value
 from .algebra import CayleyAlgebra, Poset, _checked_names
-from .codes import BlockCode, Codeword, _triangular_defect, bit_positions
+from .codes import BlockCode, Codeword, _family_values, bit_positions
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
@@ -46,9 +46,6 @@ class ConstructionResult(Value):
     function: BckFunction
     poset: Poset
 
-    def __init__(self, algebra, code, function, poset):
-        vars(self).update(algebra=algebra, code=code, function=function, poset=poset)
-
 
 def construct_from_code(code: BlockCode) -> ConstructionResult:
     """Build the algebra of a triangular-family code's word order.
@@ -79,10 +76,7 @@ def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
     and packs the bits of words k+1..n-1 after it.
     """
     n = code.length
-    values = sorted(code.values, reverse=True)
-    reason = _triangular_defect(values, n)
-    if reason:
-        raise InputError(f"not a triangular-family code: {reason}")
+    values = _family_values(code)
     rows = []
     for k, a in enumerate(values):
         row, outside = 1, ~a  # bit k is the diagonal's 1
@@ -100,9 +94,6 @@ class RowMismatch(Value):
     element: int
     expected: Codeword
     produced: Codeword
-
-    def __init__(self, element, expected, produced):
-        vars(self).update(element=element, expected=expected, produced=produced)
 
 
 class RoundTripReport(Value):
@@ -132,9 +123,6 @@ class RoundTripReport(Value):
 
     code: BlockCode
     rows: tuple[int, ...]
-
-    def __init__(self, code, rows):
-        vars(self).update(code=code, rows=rows)
 
     @property
     def exact(self) -> bool:

@@ -68,9 +68,6 @@ class EquivalenceClasses(Value):
     classes: tuple[tuple[int, ...], ...]
     cuts: tuple[tuple[str, ...], ...]
 
-    def __init__(self, classes, cuts):
-        vars(self).update(classes=classes, cuts=cuts)
-
     @property
     def count(self) -> int:
         return len(self.classes)

@@ -51,12 +51,6 @@ class LiftResult(Value):
     ambient: BlockCode
     rows: tuple[int, ...]
 
-    def __init__(self, lifted_code, source_code, embedded, ambient, rows):
-        vars(self).update(
-            lifted_code=lifted_code, source_code=source_code, embedded=embedded,
-            ambient=ambient, rows=rows,
-        )
-
     @property
     def column_map(self) -> tuple[int, ...]:
         order = len(self.ambient)

@@ -389,8 +389,10 @@ def test_natural_orders_are_the_exact_roundtrip_counts(n):
 def test_label_canonical_code_is_least_over_linear_extensions(n):
     # label_canonical_code tries only the linear extensions of the order.
     # The least code over them is the least over all (n-1)! relabelings
-    # fixing 0: measured here, not proved.  Its distinct values over the
-    # naturally labeled orders are the unlabeled posets on n-1 points.
+    # fixing 0, since swapping the labels of an inverted pair lowers the
+    # code (the proof is in its docstring); checked here as a regression.
+    # Its distinct values over the naturally labeled orders are the
+    # unlabeled posets on n-1 points.
     orders = [bc.algebra_from_poset(bc.Poset(_order_rows(down))) for down in _natural_orders(n)]
     tables = list(bc.enumerate_bck_algebras(n)) if n <= 4 else []
     codes = {alg: bc.label_canonical_code(alg) for alg in tables + orders}
@@ -427,6 +429,133 @@ SIMILARITY_FROM_ORDERS = {**EXPECTED_SIMILARITY, 6: 4231, 7: 130023}
 def test_similarity_classes_are_the_orbit_sum_over_natural_orders(n):
     total = sum(Fraction(factorial(n - 1), _extension_count(down)) for down in _natural_orders(n))
     assert total == SIMILARITY_FROM_ORDERS[n]
+
+
+def _order_first_tables(down):
+    """Every BCK table whose induced order is the natural order ``down``; no src/.
+
+    x*y = 0 exactly when x <= y.  Every other cell takes a value in the
+    down-set of x without 0, filled row-major, and a value is pruned
+    when one of three rules fails on the filled cells (Iséki & Tanaka):
+    right monotonicity (w <= x gives w*y <= x*y, against rows w < x),
+    antitonicity in the right argument (y <= w gives x*w <= x*y, both
+    ways along row x) and exchange ((x*r)*s = (x*s)*r).  Every cell an
+    exchange instance in row x reads lies in row x or an earlier row,
+    since x*r <= x, so checking the instances the new cell completes is
+    complete.  The leaves are not checked: the tests check them.
+    """
+    n = len(down)
+    below = [[w for w in range(n) if d >> w & 1] for d in down]  # below[x]: w <= x
+    t = [[0 if down[y] >> x & 1 else -1 for y in range(n)] for x in range(n)]
+    cells = [(x, y) for x in range(n) for y in range(n) if t[x][y]]
+    tables = []
+
+    def fill(k):
+        if k == len(cells):
+            tables.append(tuple(map(tuple, t)))
+            return
+        x, y = cells[k]
+        row = t[x]
+        # x*y is above each of `lower`: w*y for w <= x in an earlier row
+        # (monotonicity) and x*w for w >= y; and below each of `upper`,
+        # x*w for w <= y (antitonicity)
+        lower = [t[w][y] for w in below[x] if w < x]
+        lower += [u for w, u in enumerate(row) if u >= 0 and down[w] >> y & 1]
+        upper = [row[w] for w in below[y] if row[w] >= 0]
+        for v in below[x][1:]:
+            if any(not down[v] >> u & 1 for u in lower) or any(not down[u] >> v & 1 for u in upper):
+                continue
+            row[y] = v
+            # the exchange instances (x*y)*s = (x*s)*y; each other one
+            # the new cell completes is one of these with r and s swapped
+            if all(t[v][s] == t[b][y] or min(t[v][s], t[b][y]) < 0 for s, b in enumerate(row) if b >= 0):
+                fill(k + 1)
+        row[y] = -1
+
+    fill(0)
+    return tables
+
+
+def _order_first_census(n):
+    """The order-first tables of order n, the isomorphism classes and
+    the labeled tables, the last two as sums of `Fraction`s.
+
+    A relabeling fixing 0 keeps a naturally labeled table T with order
+    P naturally labeled exactly when it is a linear extension of P, so
+    T's class has e(P)/|Aut T| naturally labeled members and
+    (n-1)!/|Aut T| labeled ones, where |Aut T| counts the linear
+    extensions h that map T to itself (Cauchy-Frobenius).  Such an h is
+    an automorphism of P, so only those are tried on the tables.
+    """
+    tables = []
+    classes = labeled = Fraction(0)
+    for down in _natural_orders(n):
+        found = _order_first_tables(down)
+        if not found:
+            continue
+        extensions = list(bc.algebra._linear_extensions(bc.Poset(_order_rows(down))))
+        automorphisms = [
+            h for h in extensions
+            if all(sum(1 << h[x] for x in range(n) if d >> x & 1) == down[h[y]] for y, d in enumerate(down))
+        ]
+        for t in found:
+            fixing = sum(
+                all(h[t[x][y]] == t[h[x]][h[y]] for x in range(n) for y in range(n))
+                for h in automorphisms
+            )
+            classes += Fraction(fixing, len(extensions))
+            labeled += Fraction(factorial(n - 1), len(extensions))
+        tables += found
+    return tables, classes, labeled
+
+
+@lru_cache(maxsize=None)
+def _census_and_kernel_tables(n):
+    """``census(n)`` and the set of tables its search yielded, from one run."""
+    kernel_tables = set()
+
+    def recorded(m):
+        for table in pure.bck_candidates(m):
+            kernel_tables.add(table)
+            yield table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bc._kernels, "bck_candidates", recorded)
+        report = bc.census(n)
+    return report, kernel_tables
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_first_search_and_its_identity_give_the_census(n):
+    # the search and the identity share the natural labeling and the
+    # linear extensions with the census, but not the kernel, its
+    # pruning, its leaf check or the orbits
+    tables, classes, labeled = _order_first_census(n)
+    report, kernel_tables = _census_and_kernel_tables(n)
+    assert len(set(tables)) == len(tables)
+    assert set(tables) == kernel_tables
+    assert all(brute_axiom_holds(t, axiom) for t in tables for axiom in range(1, 6))
+    assert classes == report.iso_classes
+    assert labeled == report.total_tables
+
+
+# Order 6, confirmed by the order-first search and its identity above;
+# the similarity and label-canonical counts are the labeled and
+# unlabeled posets on 5 points (OEIS A001035, A000112).
+ORDER6_TOTAL = 78216
+ORDER6_ISO = 775
+ORDER6_SIMILARITY = 4231
+ORDER6_LABEL_CANONICAL = 63
+
+
+def test_census_frozen_counts_at_order_6():
+    report, _ = _census_and_kernel_tables(6)
+    assert report.total_tables == ORDER6_TOTAL
+    assert report.iso_classes == ORDER6_ISO
+    assert report.similarity_classes == ORDER6_SIMILARITY
+    assert report.label_canonical_classes == ORDER6_LABEL_CANONICAL
+    # the bound as the census states it fails from order 6 on
+    assert report.bound == 1024 and not report.bound_check
 
 
 def test_plain_canonical_code_is_label_sensitive():

@@ -1225,7 +1225,7 @@ def _census_search_yields_a_non_bck_table(monkeypatch, tmp_path):
 
 
 def _membership_check_passes_a_code_without_all_ones(monkeypatch, tmp_path):
-    monkeypatch.setattr(construct, "_triangular_defect", lambda values, n: None)
+    monkeypatch.setattr(bc.codes, "_triangular_defect", lambda values, n: None)
     return ["construct", _write(tmp_path, "code.txt", "10\n01\n")]
 
 

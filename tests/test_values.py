@@ -3,10 +3,13 @@
 Each class is frozen and compares like a frozen dataclass: instances of
 the same class with equal fields are equal and hash equal, any other
 class compares unequal, and fields cannot be assigned or deleted.  The
-reprs are the dataclass texts.
+reprs are the dataclass texts.  The constructors' signatures and their
+wrong-arity messages are those of the hand-written constructors, which
+`_value.Value` derives for the records that only store their fields.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -131,6 +134,70 @@ CASES = {
         "rows=(3, 1))",
     ),
 }
+
+
+# (the constructor's signature, what a call with no arguments is missing)
+SIGNATURES = {
+    "CayleyAlgebra": ("(table, names=None)", "1 required positional argument: 'table'"),
+    "AxiomCheck": (
+        "(axiom, holds, witness=None, evaluation=None)",
+        "2 required positional arguments: 'axiom' and 'holds'",
+    ),
+    "AxiomReport": ("(checks)", "1 required positional argument: 'checks'"),
+    "PropertyCheck": ("(holds, witness=None)", "1 required positional argument: 'holds'"),
+    "Poset": ("(rows)", "1 required positional argument: 'rows'"),
+    "ClassEntry": (
+        "(representative, size, code, label_canonical)",
+        "4 required positional arguments: 'representative', 'size', 'code', and "
+        "'label_canonical'",
+    ),
+    "CensusReport": (
+        "(order, total_tables, iso_classes, similarity_classes, label_canonical_classes, "
+        "bound, bound_check, code_varies_within_iso_class, class_inventory)",
+        "9 required positional arguments: 'order', 'total_tables', 'iso_classes', "
+        "'similarity_classes', 'label_canonical_classes', 'bound', 'bound_check', "
+        "'code_varies_within_iso_class', and 'class_inventory'",
+    ),
+    "Codeword": ("(bits)", "1 required positional argument: 'bits'"),
+    "BlockCode": ("(words)", "1 required positional argument: 'words'"),
+    "MembershipCheck": ("(ok, reason=None)", "1 required positional argument: 'ok'"),
+    "BckFunction": (
+        "(domain, algebra, values)",
+        "3 required positional arguments: 'domain', 'algebra', and 'values'",
+    ),
+    "EquivalenceClasses": (
+        "(classes, cuts)", "2 required positional arguments: 'classes' and 'cuts'"
+    ),
+    "ConstructionResult": (
+        "(algebra, code, function, poset)",
+        "4 required positional arguments: 'algebra', 'code', 'function', and 'poset'",
+    ),
+    "RowMismatch": (
+        "(element, expected, produced)",
+        "3 required positional arguments: 'element', 'expected', and 'produced'",
+    ),
+    "RoundTripReport": ("(code, rows)", "2 required positional arguments: 'code' and 'rows'"),
+    "LiftResult": (
+        "(lifted_code, source_code, embedded, ambient, rows)",
+        "5 required positional arguments: 'lifted_code', 'source_code', 'embedded', "
+        "'ambient', and 'rows'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_constructor_signature_and_arity(name):
+    cls = getattr(bc, name)
+    signature, missing = SIGNATURES[name]
+    assert str(inspect.signature(cls)) == signature
+    a = CASES[name][0]()
+    # every parameter is a field or a property that gives the argument back
+    args = {p: getattr(a, p) for p in inspect.signature(cls).parameters}
+    for b in (cls(*args.values()), cls(**args)):
+        assert type(b) is cls and b == a and repr(b) == repr(a)
+    with pytest.raises(TypeError) as raised:
+        cls()
+    assert str(raised.value) == f"{name}.__init__() missing {missing}"
 
 
 @pytest.mark.parametrize("name", CASES)
