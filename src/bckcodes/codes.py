@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections.abc import Iterable, Iterator
-from itertools import product, repeat
+from itertools import compress, product, repeat
 
 from ._value import Value
 from .errors import InputError, InternalInvariantError
@@ -56,14 +56,15 @@ _BIT = {0: 0, 1: 1, "0": 0, "1": 1}
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _digits(value: int, length: int) -> bytes:
+    """The bits of a ``length``-bit word as the bytes 0 and 1, bit 0 first."""
+    # a sentinel 1 above bit 0 keeps the leading zeros; [3:] drops "0b1"
+    return bin(value | 1 << length).encode()[3:].translate(_BIT_BYTES)
+
+
 def bit_positions(value: int, length: int) -> list[int]:
     """The positions of the 1-bits of a ``length``-bit word, ascending."""
-    positions = []
-    while value:
-        top = value.bit_length()
-        positions.append(length - top)
-        value ^= 1 << (top - 1)
-    return positions
+    return list(compress(range(length), _digits(value, length)))
 
 
 class Codeword(Value):
@@ -104,8 +105,7 @@ class Codeword(Value):
 
     @property
     def bits(self) -> tuple[int, ...]:
-        # a sentinel 1 above bit 0 keeps the leading zeros; [3:] drops "0b1"
-        return tuple(bin(self.value | 1 << self.length).encode()[3:].translate(_BIT_BYTES))
+        return tuple(_digits(self.value, self.length))
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b")

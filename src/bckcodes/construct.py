@@ -53,12 +53,7 @@ def construct_from_code(code: BlockCode) -> ConstructionResult:
     The code is sorted lex-descending first, so element i of the
     algebra corresponds to sorted word i (the all-ones word becomes 0).
     """
-    return _construction(*_word_order(code))
-
-
-def _construction(code: BlockCode, rows: tuple[int, ...]) -> ConstructionResult:
-    """The construction of ``code`` and its word-order ``rows``, as
-    `_word_order` returns them: the code sorted and checked."""
+    code, rows = _word_order(code)
     poset = Poset(rows)
     names = tuple(f"w{i + 1}" for i in range(len(code)))
     algebra = algebra_from_poset(poset, names)

@@ -3,10 +3,11 @@ algebra carried by the whole family of a given order.
 
 `lift_code` takes the sorted code's words as the rows of an n x m
 matrix A, widens it with `embed_matrix` into the square block matrix
-[[I_n, A], [0, I_m]], completes that with `ensure_all_ones` when it
-lacks an all-ones first row, takes the word order of the completed
-code, and reads the original code back off the columns that carried A.
-The algebra of the completed code is built when it is first read.
+[[I_n, A], [0, I_m]] and completes that with `ensure_all_ones` when it
+lacks an all-ones first row.  The completed code is its own word
+order, so it round-trips exactly, and the lift reads the original code
+back off its words' columns that carried A.  The algebra of the
+completed code is built when it is first read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .codes import (
     lex_sort_desc,
     staircase_code,
 )
-from .construct import _construction, _word_order, algebra_from_poset
+from .construct import algebra_from_poset, construct_from_code
 from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
@@ -33,12 +34,12 @@ class LiftResult(Value):
     """Outcome of lifting a code into the triangular family.
 
     The result holds what the lift computes: ``lifted_code``, the
-    sorted input ``source_code``, ``embedded`` and ``ambient``, and
-    ``rows``, the rows of the ambient code's word order as `_word_order`
-    returns them.  ``lifted_code`` always contains every word of the
-    sorted input.  ``column_map[j]`` is the ambient algebra element
-    standing for column j of the sorted input, one of the last m
-    elements.  ``algebra`` (that of `construct_from_code(ambient)`),
+    sorted input ``source_code``, ``embedded`` and ``ambient``, which
+    is its own word order (see `lift_code`) and so round-trips exactly.
+    ``lifted_code`` always contains every word of the sorted input.
+    ``column_map[j]`` is the ambient algebra element standing for
+    column j of the sorted input, one of the last m elements.
+    ``algebra`` (that of `construct_from_code(ambient)`),
     ``domain`` (the labels of the ``column_map`` elements) and
     ``function`` are built by the checking constructors on first read
     and cached; equality and hashing come from the stored fields, which
@@ -49,7 +50,6 @@ class LiftResult(Value):
     source_code: BlockCode
     embedded: BlockCode
     ambient: BlockCode
-    rows: tuple[int, ...]
 
     @property
     def column_map(self) -> tuple[int, ...]:
@@ -58,7 +58,7 @@ class LiftResult(Value):
 
     @functools.cached_property
     def algebra(self) -> CayleyAlgebra:
-        return _construction(self.ambient, self.rows).algebra
+        return construct_from_code(self.ambient).algebra
 
     @functools.cached_property
     def domain(self) -> tuple[str, ...]:
@@ -72,17 +72,30 @@ class LiftResult(Value):
 def lift_code(v: BlockCode) -> LiftResult:
     """Lift ``v`` into the triangular family; `InputError`, before any
     matrix is built, when the ambient order would exceed `algebra.MAX_ORDER`.
-    The lift builds no poset and no table until ``algebra`` is read."""
+    The lift builds no word order, no poset and no table until
+    ``algebra`` is read.
+
+    The ambient code is its own word order: bit y of row x of the order
+    is set when x <= y, that is when word y's support lies inside word
+    x's.  Sorted, the ambient words are 1...1 (when added), then
+    r_i = e_i | a_i, then the unit words e_j of the last m columns, and
+    each word's leading 1 is in the column of its own index.  Inside r_i
+    lie only r_i and the e_j with bit j of a_i set: every other r_k has
+    a 1 in column k, and 1...1 has every column.  Inside e_j lies only
+    e_j, and inside 1...1 everything.  So row x of the order is word x,
+    and the lifted code is the set of the ambient words' last m bits,
+    which holds every a_i.
+    """
     # the rows of [[I, A], [0, I]], plus an all-ones row unless A is one all-ones word
     order = len(v) + v.length + (len(v) > 1 or v.values[0] != (1 << v.length) - 1)
     if order > MAX_ORDER:
         raise InputError(f"ambient order {order} exceeds the bound {MAX_ORDER}")
     sorted_v = lex_sort_desc(v)
     embedded = embed_matrix(sorted_v)
-    ambient, rows = _word_order(ensure_all_ones(embedded))
+    ambient = ensure_all_ones(embedded)
     m = sorted_v.length
-    # element r's word on the last m columns is the low m bits of its order row
-    words = {r & (1 << m) - 1 for r in rows}
+    # element x's word on the last m columns is the low m bits of its order row, word x
+    words = {w & (1 << m) - 1 for w in ambient.values}
     lifted = BlockCode.of(sorted(words, reverse=True), m)
 
     missing = set(sorted_v.values) - set(lifted.values)
@@ -90,7 +103,7 @@ def lift_code(v: BlockCode) -> LiftResult:
         raise InternalInvariantError(
             f"lifted code lost {len(missing)} input codeword(s)"
         )
-    return LiftResult(lifted, sorted_v, embedded, ambient, rows)
+    return LiftResult(lifted, sorted_v, embedded, ambient)
 
 
 def family_algebra(n: int) -> tuple[CayleyAlgebra, BlockCode]:

@@ -5,10 +5,10 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bckcodes as bc
-from bckcodes.codes import Comparison
+from bckcodes.codes import Comparison, bit_positions
 
 words = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=8).map(tuple)
 
@@ -481,6 +481,37 @@ def test_codeword_bits_match_the_comprehension_on_long_words(n):
         assert len(w.bits) == n
         assert w.bits == _comprehension_bits(w)
         assert bc.Codeword(w.bits) == w
+
+
+def _shift_positions(v: int, n: int) -> list[int]:
+    """The 1-bits of an n-bit word one shift at a time: the reference for `bit_positions`."""
+    return [i for i in range(n) if v >> (n - 1 - i) & 1]
+
+
+def _sized_words(n: int):
+    """n-bit words: 0, all ones, any word, and words with leading zeros."""
+    return st.tuples(
+        st.just(n),
+        st.sampled_from([0, (1 << n) - 1])
+        | st.integers(0, (1 << n) - 1)
+        | st.integers(1, n).flatmap(lambda top: st.integers(0, (1 << top) - 1)),
+    )
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 1100).flatmap(_sized_words))
+@example((1, 0))
+@example((1, 1))
+@example((1100, 0))
+@example((1100, (1 << 1100) - 1))
+@example((1100, 1))
+def test_bit_positions_match_the_shift_reference(word):
+    n, v = word
+    expected = _shift_positions(v, n)
+    assert bit_positions(v, n) == expected
+    w = bc.Codeword.of(v, n)
+    assert w.support == frozenset(expected)
+    assert len(w.bits) == n and [i for i, b in enumerate(w.bits) if b] == expected
 
 
 def _one_by_one():

@@ -1230,14 +1230,12 @@ def _membership_check_passes_a_code_without_all_ones(monkeypatch, tmp_path):
 
 
 def _word_order_loses_the_lifted_columns(monkeypatch, tmp_path):
-    word_order = lift._word_order
+    def identity(code):
+        n = code.length + 1
+        # the identity matrix: the last m columns hold only unit words
+        return bc.BlockCode.of([1 << (n - 1 - x) for x in range(n)], n)
 
-    def cleared(code):
-        code, rows = word_order(code)
-        n = len(rows)
-        return code, tuple(1 << (n - 1 - x) for x in range(n))  # the identity order
-
-    monkeypatch.setattr(lift, "_word_order", cleared)
+    monkeypatch.setattr(lift, "ensure_all_ones", identity)
     return ["lift", _write(tmp_path, "code.txt", "110\n011\n101\n")]
 
 

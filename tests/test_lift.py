@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 import bckcodes as bc
 from bckcodes import algebra as algebra_module, construct as construct_module
@@ -163,13 +165,43 @@ def test_lift_fields_match_the_construction_of_the_ambient_code(codes):
             assert repr(getattr(result, field)) == repr(expected), (v, field)
 
 
+def _assert_the_ambient_code_is_its_own_word_order(v):
+    r = bc.lift_code(v)
+    m = v.length
+    assert bc.verify_roundtrip(r.ambient).exact, v
+    values = r.ambient.values
+    assert all(a > b for a, b in zip(values, values[1:])), v
+    assert r.lifted_code.values == tuple(sorted({w & (1 << m) - 1 for w in values}, reverse=True))
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda m: st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=12).map(
+            lambda words: bc.BlockCode.of(words, m)
+        )
+    )
+)
+def test_the_ambient_code_is_its_own_word_order(v):
+    _assert_the_ambient_code_is_its_own_word_order(v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_ambient_code_is_its_own_word_order_on_every_short_code(m):
+    words = range(1 << m)
+    codes = [c for size in range(1, len(words) + 1) for c in combinations(words, size)]
+    assert len(codes) == 2 ** (1 << m) - 1  # 3, 15 and 255 codes
+    for c in codes:
+        _assert_the_ambient_code_is_its_own_word_order(bc.BlockCode.of(c, m))
+
+
 def test_lifted_code_builds_no_poset_and_no_table(monkeypatch):
     def refuse(*args):
-        raise AssertionError("built a poset or a table")
+        raise AssertionError("built a word order, a poset or a table")
 
     for module in (construct_module, algebra_module):
         monkeypatch.setattr(module, "Poset", refuse)
     monkeypatch.setattr(construct_module, "algebra_from_poset", refuse)
+    monkeypatch.setattr(construct_module, "_word_order", refuse)
     result = bc.lift_code(bc.BlockCode.from_strings(rd.LIFT_INPUT))
     assert result.lifted_code.strings() == rd.LIFT_OUTPUT
     assert result.column_map == rd.LIFT_COLUMN_MAP

@@ -35,8 +35,8 @@ def _function(values=(0, 1)):
     return bc.BckFunction(("a", "b"), _alg(), values)
 
 
-def _lift(rows=(3, 1)):
-    return bc.LiftResult(_code(), _code((2,)), _code(), _code(), rows)
+def _lift(lifted=(3, 1)):
+    return bc.LiftResult(_code(lifted), _code((2,)), _code(), _code())
 
 
 # (make an instance, a differing instance, the instance's repr)
@@ -130,8 +130,8 @@ CASES = {
         _lift((3, 0)),
         "LiftResult(lifted_code=BlockCode(values=(3, 1), length=2), "
         "source_code=BlockCode(values=(2,), length=2), "
-        "embedded=BlockCode(values=(3, 1), length=2), ambient=BlockCode(values=(3, 1), length=2), "
-        "rows=(3, 1))",
+        "embedded=BlockCode(values=(3, 1), length=2), "
+        "ambient=BlockCode(values=(3, 1), length=2))",
     ),
 }
 
@@ -178,9 +178,9 @@ SIGNATURES = {
     ),
     "RoundTripReport": ("(code, rows)", "2 required positional arguments: 'code' and 'rows'"),
     "LiftResult": (
-        "(lifted_code, source_code, embedded, ambient, rows)",
-        "5 required positional arguments: 'lifted_code', 'source_code', 'embedded', "
-        "'ambient', and 'rows'",
+        "(lifted_code, source_code, embedded, ambient)",
+        "4 required positional arguments: 'lifted_code', 'source_code', 'embedded', "
+        "and 'ambient'",
     ),
 }
 
