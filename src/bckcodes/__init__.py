@@ -46,7 +46,6 @@ from .codes import (
 )
 from .construct import (
     ConstructionResult,
-    RoundTripReport,
     RowMismatch,
     algebra_from_poset,
     construct_from_code,
@@ -98,7 +97,6 @@ __all__ = [
     "ParseError",
     "Poset",
     "PropertyCheck",
-    "RoundTripReport",
     "RowMismatch",
     "algebra_from_poset",
     "are_isomorphic",

@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .census import census
 from .codes import enumerate_triangular_codes
-from .construct import RoundTripReport, construct_from_code
+from .construct import construct_from_code
 from .encode import BckFunction, _code
 from .errors import InputError, InternalInvariantError
 from .lift import family_algebra, lift_code
@@ -138,7 +138,6 @@ def cmd_encode(args) -> int:
 def cmd_construct(args) -> int:
     code = io.parse_code(_read(args.code))
     result = construct_from_code(code)
-    trip = RoundTripReport(result.code, result.poset.rows)
     if args.json:
         payload = {
             "order": result.algebra.order,
@@ -146,16 +145,16 @@ def cmd_construct(args) -> int:
             "names": result.algebra.names,
             "sorted_code": result.code.strings(),
             "roundtrip": {
-                "exact": trip.exact,
-                "self_describing": trip.self_describing,
-                "regenerated": trip.regenerated.strings(),
+                "exact": result.exact,
+                "self_describing": result.self_describing,
+                "regenerated": result.regenerated.strings(),
                 "mismatches": [
                     {
                         "element": m.element,
                         "expected": str(m.expected),
                         "produced": str(m.produced),
                     }
-                    for m in trip.mismatches
+                    for m in result.mismatches
                 ],
             },
         }
@@ -164,14 +163,14 @@ def cmd_construct(args) -> int:
         out = io.render_algebra(
             result.algebra, header=f"constructed from {len(result.code)} codewords"
         )
-        if trip.exact:
+        if result.exact:
             out += "# roundtrip: exact\n"
         else:
-            out += f"# roundtrip: inexact ({len(trip.mismatches)} mismatched rows)\n"
-            for m in trip.mismatches:
+            out += f"# roundtrip: inexact ({len(result.mismatches)} mismatched rows)\n"
+            for m in result.mismatches:
                 out += f"# element {m.element}: expected {m.expected} produced {m.produced}\n"
         sys.stdout.write(out)
-    if trip.exact:
+    if result.exact:
         return 0
     if args.lax:
         _write_stderr("warning: round trip is inexact\n")

@@ -3,8 +3,11 @@
 Any finite poset with a minimum carries a BCK table: x*y = 0 when
 x <= y, and x*y = x otherwise (whether y < x or the two are
 incomparable).  Applying this to the word order of a triangular-family
-code turns the code into an algebra; `verify_roundtrip` then reports
-how faithfully the canonical code of that algebra reproduces the input.
+code turns the code into an algebra.  `construct_from_code` and
+`verify_roundtrip` both return one `ConstructionResult`, which holds
+the sorted code and its word order: the algebra is built when it is
+first read, and the round trip (how faithfully the canonical code of
+that algebra reproduces the input) is read off the two.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import functools
 from ._value import Value
 from .algebra import CayleyAlgebra, Poset, _checked_names
 from .codes import BlockCode, Codeword, _family_values, bit_positions
-from .encode import BckFunction
 from .errors import InputError, InternalInvariantError
 
 
@@ -36,28 +38,6 @@ def algebra_from_poset(p: Poset, names: tuple[str, ...] | None = None) -> Cayley
             table[x][label[y]] = 0
     # every cell is 0 or its row index x < n
     return CayleyAlgebra._trusted(tuple(map(tuple, table)), names)
-
-
-class ConstructionResult(Value):
-    """Everything produced on the way from a code to its algebra."""
-
-    algebra: CayleyAlgebra
-    code: BlockCode
-    function: BckFunction
-    poset: Poset
-
-
-def construct_from_code(code: BlockCode) -> ConstructionResult:
-    """Build the algebra of a triangular-family code's word order.
-
-    The code is sorted lex-descending first, so element i of the
-    algebra corresponds to sorted word i (the all-ones word becomes 0).
-    """
-    code, rows = _word_order(code)
-    poset = Poset(rows)
-    names = tuple(f"w{i + 1}" for i in range(len(code)))
-    algebra = algebra_from_poset(poset, names)
-    return ConstructionResult(algebra, code, BckFunction.identity(algebra), poset)
 
 
 def _word_order(code: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
@@ -91,13 +71,20 @@ class RowMismatch(Value):
     produced: Codeword
 
 
-class RoundTripReport(Value):
-    """How the regenerated canonical code relates to the input code.
+class ConstructionResult(Value):
+    """A triangular-family code and its word order: the algebra and the round trip.
 
-    The report holds its inputs: ``code``, the sorted input code, and
-    ``rows``, the rows of its word order as `_word_order` returns them
-    (bit j of row k is set iff word k <= word j).  Every other field is
-    derived from the two when it is read.
+    The result holds what the construction computes: ``code``, the
+    sorted input code, and ``rows``, the rows of its word order as
+    `_word_order` returns them (bit j of row k is set iff word k <=
+    word j).  Every other field is derived from the two when it is read.
+
+    ``poset`` is ``Poset(rows)`` and ``algebra`` is `algebra_from_poset`
+    of it with the names w1...wn, so element i of the algebra is sorted
+    word i and the all-ones word is element 0.  Both are built by the
+    checking constructors on first read and cached.  Support containment
+    is a partial order and the all-ones word lies below every word, so
+    neither can fail on the rows `_word_order` returns.
 
     ``exact`` compares the regenerated code with the sorted input as
     sequences.  ``self_describing`` holds when the sorted matrix already
@@ -110,10 +97,9 @@ class RoundTripReport(Value):
     mismatches.  So ``exact`` and ``self_describing`` are both
     ``not mismatches``, that is ``code.values == rows``.  ``regenerated``
     and ``mismatches`` are built by the checked constructors on first
-    read and cached; equality and hashing come from ``(code, rows)``,
-    which determine every field.  The report reads only the sorted code
-    and its word order, so `verify_roundtrip` builds no poset and no
-    table, and no codeword until ``mismatches`` is read.
+    read and cached, so the round trip builds no poset and no table,
+    and no codeword until ``mismatches`` is read.  Equality and hashing
+    come from ``(code, rows)``, which determine every field.
     """
 
     code: BlockCode
@@ -139,8 +125,26 @@ class RoundTripReport(Value):
             if w != r
         )
 
+    @functools.cached_property
+    def poset(self) -> Poset:
+        return Poset(self.rows)
 
-def verify_roundtrip(code: BlockCode) -> RoundTripReport:
-    """The round-trip report of a triangular-family code."""
-    return RoundTripReport(*_word_order(code))
+    @functools.cached_property
+    def algebra(self) -> CayleyAlgebra:
+        names = tuple(f"w{i + 1}" for i in range(len(self.rows)))
+        return algebra_from_poset(self.poset, names)
 
+
+# Two functions and not one alias: perfbench/tracing.py times each by name.
+def construct_from_code(code: BlockCode) -> ConstructionResult:
+    """The construction of a triangular-family code, whose algebra is
+    built when ``algebra`` is first read; `InputError`, with the
+    membership reason, on any other code."""
+    return ConstructionResult(*_word_order(code))
+
+
+def verify_roundtrip(code: BlockCode) -> ConstructionResult:
+    """The round trip of a triangular-family code: ``exact``,
+    ``regenerated`` and ``mismatches`` of its construction, which
+    `construct_from_code` returns too."""
+    return ConstructionResult(*_word_order(code))

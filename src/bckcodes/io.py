@@ -5,7 +5,10 @@ integers.  Orders, table entries and function values are ASCII decimal
 integers.  Code files: one codeword of 0/1 characters per line.
 Function files: one "label value" pair per line.  In all three, blank
 lines and lines starting with '#' are skipped; duplicate codewords are
-rejected, not deduplicated.
+rejected, not deduplicated.  A code holds at most `MAX_ORDER` (1,024)
+codewords of at most as many bits, and a function at most as many
+labels: every consumer needs no more, and the readers stop at the
+first entry past the bound instead of holding the whole input.
 
 JSON reports carry a report_version tag and parse back with
 `parse_report`.  `stream_report` is the one writer; the pieces it
@@ -126,6 +129,8 @@ def parse_code(text: str) -> BlockCode:
             )
         if line in seen:
             raise ParseError(f"duplicate codeword {line}", lineno)
+        if len(values) == MAX_ORDER:
+            raise ParseError(f"more than {MAX_ORDER} codewords", lineno)
         seen.add(line)
         values.append(int(line, 2))
     if not values:
@@ -158,6 +163,8 @@ def parse_function(text: str, alg: CayleyAlgebra) -> BckFunction:
             raise ParseError(f"value {v} outside 0..{alg.order - 1}", lineno)
         if label in seen:
             raise ParseError(f"duplicate label {label!r}", lineno)
+        if len(labels) == MAX_ORDER:
+            raise ParseError(f"more than {MAX_ORDER} labels", lineno)
         seen.add(label)
         labels.append(label)
         values.append(v)

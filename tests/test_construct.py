@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from itertools import chain, islice, product
 
 import pytest
@@ -235,7 +236,7 @@ def _random_poset_matrix(n: int, rng: random.Random):
     return tuple(tuple(row) for row in leq)
 
 
-def assert_validated_report(report: bc.RoundTripReport, sorted_code: bc.BlockCode, poset: bc.Poset):
+def assert_validated_report(report: bc.ConstructionResult, sorted_code: bc.BlockCode, poset: bc.Poset):
     """Each field of ``report`` equals the one rebuilt with the public, checking constructors."""
     n = poset.order
     regenerated = bc.BlockCode(tuple(bc.Codeword.of(r, n) for r in sorted(poset.rows, reverse=True)))
@@ -272,7 +273,7 @@ def test_trusted_path_equals_the_validated_path():
         assert result.code == sorted_code
         report = bc.verify_roundtrip(code)
         assert_validated_report(report, bc.BlockCode(result.code.words), poset)
-        assert report == bc.RoundTripReport(result.code, poset.rows)
+        assert report == bc.ConstructionResult(result.code, poset.rows)
         assert report.regenerated == bc.BlockCode(report.regenerated.words)
 
 
@@ -316,21 +317,30 @@ def test_exact_roundtrips_regenerate_the_sorted_code(n):
 
 
 def test_verify_roundtrip_builds_no_poset(monkeypatch):
-    built = 0
-    init = bc.Poset.__init__
+    built = Counter()
 
-    def counting(self, rows):
-        nonlocal built
-        built += 1
-        init(self, rows)
+    def counting(name, build):
+        def count(*args, **kwargs):
+            built[name] += 1
+            return build(*args, **kwargs)
 
-    monkeypatch.setattr(bc.Poset, "__init__", counting)
-    reports = [bc.verify_roundtrip(c) for c in bc.enumerate_triangular_codes(7)]
-    assert sum(r.exact for r in reports) == 4824
-    assert built == 0
-    # construction still builds its poset with the checked constructor
-    assert bc.construct_from_code(bc.staircase_code(7)).poset.minimum == 0
-    assert built == 1
+        return count
+
+    for cls in (bc.Poset, bc.CayleyAlgebra, bc.BckFunction):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    trusted = counting("CayleyAlgebra", bc.CayleyAlgebra._trusted.__func__)
+    monkeypatch.setattr(bc.CayleyAlgebra, "_trusted", classmethod(trusted))
+    for build in (bc.verify_roundtrip, bc.construct_from_code):
+        reports = [build(c) for c in bc.enumerate_triangular_codes(7)]
+        assert sum(r.exact for r in reports) == 4824
+        assert not built
+    # construction builds its poset with the checked constructor, once, on first read
+    result = bc.construct_from_code(bc.staircase_code(7))
+    assert not built
+    assert result.algebra.names == tuple(f"w{i}" for i in range(1, 8))
+    assert result.poset.minimum == 0
+    assert result.algebra is result.algebra and result.poset is result.poset
+    assert built == {"Poset": 1, "CayleyAlgebra": 1}
 
 
 def test_trusted_builders_equal_validated_objects():
@@ -384,7 +394,8 @@ def test_roundtrip_reports_compare_by_code_and_rows():
         assert "mismatches" in vars(first) and "mismatches" not in vars(second)
         assert first == second
         assert hash(first) == hash(second)
-        assert first == bc.RoundTripReport(*construct._word_order(code))
+        assert first == bc.ConstructionResult(*construct._word_order(code))
+        assert bc.construct_from_code(code) == bc.verify_roundtrip(code)
     assert bc.verify_roundtrip(exact) != bc.verify_roundtrip(inexact)
 
 

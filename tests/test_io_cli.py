@@ -207,6 +207,19 @@ def test_parse_function_rejects_a_value_int_reads_but_not_as_ascii(token):
     assert str(exc.value) == f"line 2: value must be an integer, got {token!r}"
 
 
+def _codewords(count: int) -> str:
+    return "".join(f"{v:011b}\n" for v in range(count))
+
+
+def _labels(count: int) -> str:
+    return "".join(f"l{i} 0\n" for i in range(count))
+
+
+def test_readers_take_1024_codewords_and_labels(alg4_commutative):
+    assert len(io.parse_code(_codewords(1024))) == 1024
+    assert len(io.parse_function(_labels(1024), alg4_commutative).domain) == 1024
+
+
 def test_parse_code_roundtrip():
     text = "# four words\n1111\n\n0110\n0010\n0001\n"
     code = io.parse_code(text)
@@ -221,6 +234,9 @@ def test_parse_code_roundtrip():
         ("10a\n", "line 1: codeword may only contain 0 and 1"),
         ("11\n101\n", "line 2: codeword length 3 differs"),
         ("11\n11\n", "line 2: duplicate codeword"),
+        pytest.param(
+            _codewords(1025), "line 1025: more than 1024 codewords", id="1025 codewords"
+        ),
     ],
 )
 def test_parse_code_errors(text, fragment):
@@ -243,6 +259,7 @@ def test_parse_function(alg4_commutative):
         ("a x\n", "value must be an integer"),
         ("a 9\n", "value 9 outside 0..3"),
         ("a 0\na 1\n", "duplicate label 'a'"),
+        pytest.param(_labels(1025), "line 1025: more than 1024 labels", id="1025 labels"),
     ],
 )
 def test_parse_function_errors(text, fragment, alg4_commutative):
@@ -252,9 +269,12 @@ def test_parse_function_errors(text, fragment, alg4_commutative):
 
 
 def test_parse_function_finds_a_late_duplicate_label_quickly(alg4_commutative):
-    # 100,000 labels; the duplicate is the last line, so a linear scan
-    # per label would compare about 5 * 10**9 pairs
-    text = "".join(f"l{i} 0\n" for i in range(100_000)) + "l0 1\n"
+    # the duplicate follows the 1,024 labels the reader takes, and a
+    # 100,000-label file stops at its 1,025th label in the same one pass
+    cases = {
+        _labels(1024) + "l0 1\n": "line 1025: duplicate label 'l0'",
+        _labels(100_000) + "l0 1\n": "line 1025: more than 1024 labels",
+    }
 
     def timeout(signum, frame):
         raise TimeoutError("parse_function took more than 10 s")
@@ -262,12 +282,13 @@ def test_parse_function_finds_a_late_duplicate_label_quickly(alg4_commutative):
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        with pytest.raises(bc.ParseError) as exc:
-            io.parse_function(text, alg4_commutative)
+        for text, message in cases.items():
+            with pytest.raises(bc.ParseError) as exc:
+                io.parse_function(text, alg4_commutative)
+            assert str(exc.value) == message
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert str(exc.value) == "line 100001: duplicate label 'l0'"
 
 
 def test_report_roundtrip():

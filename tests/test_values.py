@@ -107,23 +107,15 @@ CASES = {
         "EquivalenceClasses(classes=((0,), (1,)), cuts=(('a', 'b'), ('b',)))",
     ),
     "ConstructionResult": (
-        lambda: bc.ConstructionResult(_alg(), _code(), _function(), bc.Poset((3, 1))),
-        bc.ConstructionResult(_alg(), _code(), _function(), bc.Poset((2, 3))),
-        "ConstructionResult(algebra=CayleyAlgebra(table=((0, 0), (1, 0)), names=('a', 'b')), "
-        "code=BlockCode(values=(3, 1), length=2), function=BckFunction(domain=('a', 'b'), "
-        "algebra=CayleyAlgebra(table=((0, 0), (1, 0)), names=('a', 'b')), values=(0, 1)), "
-        "poset=Poset(rows=(3, 1), minimum=0))",
+        lambda: bc.ConstructionResult(_code(), (3, 1)),
+        bc.ConstructionResult(_code(), (3, 0)),
+        "ConstructionResult(code=BlockCode(values=(3, 1), length=2), rows=(3, 1))",
     ),
     "RowMismatch": (
         lambda: bc.RowMismatch(0, bc.Codeword.of(3, 2), bc.Codeword.of(1, 2)),
         bc.RowMismatch(1, bc.Codeword.of(3, 2), bc.Codeword.of(1, 2)),
         "RowMismatch(element=0, expected=Codeword(value=3, length=2), "
         "produced=Codeword(value=1, length=2))",
-    ),
-    "RoundTripReport": (
-        lambda: bc.RoundTripReport(_code(), (3, 1)),
-        bc.RoundTripReport(_code(), (3, 0)),
-        "RoundTripReport(code=BlockCode(values=(3, 1), length=2), rows=(3, 1))",
     ),
     "LiftResult": (
         _lift,
@@ -168,15 +160,11 @@ SIGNATURES = {
     "EquivalenceClasses": (
         "(classes, cuts)", "2 required positional arguments: 'classes' and 'cuts'"
     ),
-    "ConstructionResult": (
-        "(algebra, code, function, poset)",
-        "4 required positional arguments: 'algebra', 'code', 'function', and 'poset'",
-    ),
+    "ConstructionResult": ("(code, rows)", "2 required positional arguments: 'code' and 'rows'"),
     "RowMismatch": (
         "(element, expected, produced)",
         "3 required positional arguments: 'element', 'expected', and 'produced'",
     ),
-    "RoundTripReport": ("(code, rows)", "2 required positional arguments: 'code' and 'rows'"),
     "LiftResult": (
         "(lifted_code, source_code, embedded, ambient)",
         "4 required positional arguments: 'lifted_code', 'source_code', 'embedded', "
