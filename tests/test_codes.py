@@ -723,3 +723,55 @@ def test_words_are_the_checked_codewords_of_the_values():
         for w, v in zip(code.words, code.values):
             assert type(w) is bc.Codeword
             assert vars(w) == {"value": v, "length": n}
+
+
+# ------------------------------------------------------- the shared codeword view
+
+_SHARED_CACHES = (bc.codes._shared_codeword, bc.codes._bits)
+
+
+@pytest.mark.parametrize("length", [True, np.int64(3), np.uint8(3)], ids=repr)
+def test_integer_lengths_are_stored_as_int(length):
+    n = int(length)
+    value = (1 << n) - 1
+    w = bc.Codeword.of(value, length)
+    code = bc.BlockCode.of([value], length)
+    for held in (w, code, *code.words):
+        assert type(held.length) is int and held.length == n
+    assert str(w) == "1" * n
+    assert code.strings() == ("1" * n,)
+    # an int and a bool length are one cache key: either way the word is exact
+    assert type(bc.BlockCode.of([value], n).words[0].length) is int
+
+
+def test_equal_words_from_different_codes_are_one_object():
+    a = bc.BlockCode.of((0b111, 0b011, 0b001), 3)
+    b = bc.BlockCode.from_strings(["011", "110"])
+    assert a.words[1] is b.words[0]
+    assert a.words[1].bits is b.words[0].bits is bc.Codeword.of(3, 3).bits
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1024])
+def test_shared_bits_spell_the_string(n):
+    rng = random.Random(n)
+    values = {0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(40))}
+    code = bc.BlockCode.of(sorted(values), n)
+    for _ in range(2):  # the second read comes from the caches
+        for w, s in zip(code.words, code.strings()):
+            assert w.bits == tuple(map(int, str(w))) == tuple(map(int, s))
+
+
+def test_a_code_larger_than_the_caches_reads_back_exactly():
+    n = 12
+    values = random.Random(12).sample(range(1 << n), 3 * bc.codes._SHARED_WORDS)
+    code = bc.BlockCode.of(values, n)
+    for _ in range(2):
+        assert [w.value for w in code.words] == values
+        assert ["".join(map(str, w.bits)) for w in code.words] == list(code.strings())
+    for cache in _SHARED_CACHES:
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
+
+
+def test_both_caches_are_bounded_by_the_largest_code_the_cli_reads():
+    for cache in _SHARED_CACHES:
+        assert cache.cache_info().maxsize == bc.codes._SHARED_WORDS == bc.algebra.MAX_ORDER == 1024

@@ -1306,3 +1306,22 @@ def test_import_bckcodes_loads_the_text_formats():
         timeout=120,
     )
     assert proc.returncode == 0
+
+
+def test_cli_paths_of_the_other_workloads_read_no_shared_codeword(tmp_path, capsys):
+    # the census, family and verify commands format codes from their values;
+    # only the public codeword view reads the two caches
+    path = _write(tmp_path, "alg.txt", ALG4_TEXT)
+    caches = (bc.codes._shared_codeword, bc.codes._bits)
+    for cache in caches:
+        cache.cache_clear()
+    for argv in (
+        ["enumerate", "--algebras", "--order", "5", "--json"],
+        ["enumerate", "--family", "--order", "4"],
+        ["verify", "--json", path],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
